@@ -2,7 +2,7 @@
 
 ``python -m repro.evalharness warmstart`` measures, per workload, the
 wall-clock cost of *generating* specialized artifacts (entry and
-continuation specializations, pycodegen compilations, fusion decisions)
+continuation specializations, pycodegen compilations)
 on a cold persistent store versus replaying them from a warm one:
 
 1. **Cold leg** — run the workload with a fresh, empty

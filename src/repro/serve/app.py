@@ -1,13 +1,13 @@
-"""The serve application: routing, single-flight, tiering, degradation.
+"""The serve application: routing, single-flight, execution, degradation.
 
 Request lifecycle for ``POST /run``:
 
 1. **Parse/validate** on the event loop (:mod:`repro.serve.protocol`);
    structural problems never reach a worker thread.
-2. **Cache lookup** in the sharded result cache (bumping the key's
-   heat).  Deterministic outcomes are cached: successful runs *and*
-   deterministic specialization failures (422s), mirroring the offline
-   memoizer's error memoization.  Cache hits bypass the circuit
+2. **Cache lookup** in the sharded result cache.  Deterministic
+   outcomes are cached: successful runs *and* deterministic
+   specialization failures (422s), mirroring the offline memoizer's
+   error memoization.  Cache hits bypass the circuit
    breaker — serving known-good bytes is always safe.
 3. **Circuit breaker** (:mod:`repro.serve.breaker`) — a per-(tenant,
    workload) breaker that has seen ``REPRO_BREAKER_THRESHOLD``
@@ -26,9 +26,10 @@ Request lifecycle for ``POST /run``:
 6. **Admission queue** (:mod:`repro.serve.admission`): backpressure
    503s, per-tenant quota 429s, then a semaphore sized to the worker
    pool.
-7. **Tiered execution** — the key's heat picks the backend
-   (reference → threaded → pycodegen); the run executes on a thread
-   pool via ``run_in_executor``.  Runs are thread-safe because every
+7. **Execution** — every run executes on the counted ``pycodegen``
+   backend (whose ``pycodegen → threaded → reference`` degradation
+   ladder covers compile failures), on a thread pool via
+   ``run_in_executor``.  Runs are thread-safe because every
    run builds a fresh runtime/machine stack (the thread-confinement
    invariant documented on :class:`~repro.runtime.cache.CodeCache`);
    per-request fault specs travel in ``OptConfig.faults``, never via
@@ -74,6 +75,11 @@ DEFAULT_SHARDS = 8
 DEFAULT_CAPACITY_PER_SHARD = 256
 DEFAULT_MAX_QUEUE = 1024
 DEFAULT_TENANT_QUOTA = 128
+
+#: Every served run executes on this backend.  All counted backends give
+#: byte-identical stats, so the choice only sets speed; pycodegen's own
+#: ladder degrades to threaded and then reference on compile failures.
+BACKEND = "pycodegen"
 
 _DEGRADATION_KEYS = (
     "specialization_failures",
@@ -153,7 +159,6 @@ class ServeApp:
         self.coalesced = 0
         self.cache_served = 0
         self.executions = 0
-        self.tiers: dict[str, int] = {}
         self.degradation = {name: 0 for name in _DEGRADATION_KEYS}
         self.degraded_runs = 0
         self.tenants: dict[str, dict[str, int]] = {}
@@ -327,12 +332,9 @@ class ServeApp:
         tenant = request.tenant
         try:
             async with self.admission.slot(tenant):
-                backend = self.cache.backend_for(tenant, run_key)
                 payload = await asyncio.get_running_loop().run_in_executor(
-                    self.executor, self._execute, request, run_key,
-                    backend)
+                    self.executor, self._execute, request, run_key)
                 self.executions += 1
-                self.tiers[backend] = self.tiers.get(backend, 0) + 1
                 self._absorb_degradation(tenant, payload["degradation"])
                 return 200, payload
         except (QuotaExceeded, Backpressure) as exc:
@@ -349,13 +351,12 @@ class ServeApp:
                                {"status": 422, "body": body})
             return status, body
 
-    def _execute(self, request: RunRequest, run_key: str,
-                 backend: str) -> dict:
+    def _execute(self, request: RunRequest, run_key: str) -> dict:
         """Worker-thread body: run the workload, cache the payload."""
         workload = WORKLOADS_BY_NAME[request.workload]
         result = run_workload(workload, request.config,
-                              verify=request.verify, backend=backend)
-        payload = result_payload(result, backend)
+                              verify=request.verify, backend=BACKEND)
+        payload = result_payload(result, BACKEND)
         if not request.no_cache:
             # Insertion happens on the worker thread; the shard's lock
             # serializes it against event-loop lookups.
@@ -438,7 +439,6 @@ class ServeApp:
                 "executions": self.executions,
                 "cache_served": self.cache_served,
                 "coalesced": self.coalesced,
-                "tiers": dict(sorted(self.tiers.items())),
                 "respond_drops": self.respond_drops,
                 "draining": self.draining,
                 "fault_spec": self.fault_spec,

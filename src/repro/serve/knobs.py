@@ -1,8 +1,9 @@
 """Resolved environment knobs for the serve tier's resilience layer.
 
-Import-light on purpose: :mod:`repro.evalharness.memo` feeds these
-resolved values into the run memo key (schema 6), so this module must
-not pull in the daemon, asyncio, or any workload code.
+Import-light on purpose: the supervisor and every worker read these
+before the daemon starts, so this module must not pull in the daemon,
+asyncio, or any workload code.  None of them can change a run's bytes,
+so none is part of the run memo key.
 
 ==============================  =======  ==============================
 environment variable            default  meaning

@@ -9,8 +9,8 @@ seeded, reproducible request mix:
   universe, so a few keys are hot and the long tail is cold.  This is
   the leg the cache is for.
 * **thrash** — adversarial: a stream of unique keys sized past the
-  cache capacity, forcing evictions (and exercising heat-tiered
-  *re*-computation, since heat survives eviction).
+  cache capacity, forcing evictions (and *re*-computation of evicted
+  keys, which must return the bytes the first computation did).
 * **storm** — adversarial: waves of identical concurrent requests for
   a cold key; single-flight coalescing must collapse each wave onto
   one execution.
@@ -759,7 +759,6 @@ async def drive(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "healthz": health_after,
             "cache": stats_after["cache"],
             "admission": stats_after["admission"],
-            "tiers": stats_after["server"]["tiers"],
             "degradation": stats_after["degradation"],
             "status_counts": stats_after["server"]["status_counts"],
             "error_codes": stats_after["server"]["error_codes"],
@@ -973,7 +972,6 @@ def main(argv: list[str]) -> int:
         "legs": report["legs"],
         "offline_verification": report["offline_verification"],
         "daemon": {"healthz": report["daemon"]["healthz"],
-                   "tiers": report["daemon"]["tiers"],
                    "coalesced": report["daemon"]["coalesced"]},
     }, indent=2, sort_keys=True))
     if failures:

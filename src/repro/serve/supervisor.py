@@ -153,7 +153,11 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
     import threading
 
     os.environ[knobs.ENV_WORKER_ID] = str(worker)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # A drain can reach a worker that is still starting up, before its
+    # event loop owns SIGTERM: remember the request and honour it once
+    # the loop is up, so the worker still drains and exits cleanly.
+    early_stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda _sig, _frame: early_stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     exit_code = 0
@@ -173,6 +177,8 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
             loop.add_signal_handler(signal.SIGTERM, stop.set)
+            if early_stop.is_set():
+                stop.set()
             daemon = ServeDaemon(app, sock=sock)
             await daemon.start()
             print(f"[worker {worker}] pid {os.getpid()} serving",

@@ -8,8 +8,10 @@ artifact — never to a crash or to executing a stale artifact.
 """
 
 import dataclasses
+import hashlib
 import os
 import pickle
+import re
 import threading
 
 import pytest
@@ -19,6 +21,30 @@ from repro.evalharness.runner import run_workload
 from repro.evalharness.warmstart import run_fingerprints
 from repro.runtime import persist
 from repro.workloads import WORKLOADS_BY_NAME
+
+#: Every ``REPRO_*`` environment knob, a non-default value for it (None:
+#: a fresh directory), and whether it can change a run's result bytes —
+#: exactly the knobs the memo key must depend on.
+_ENV_KNOBS = {
+    "REPRO_FAULTS": ("specializer.entry:once", True),
+    "REPRO_DEGRADE": ("1", True),
+    "REPRO_CODEGEN_MODE": ("fast", True),
+    "REPRO_PYCODEGEN_SOURCE_LIMIT": ("10", True),
+    "REPRO_TASK_TIMEOUT": ("7", True),
+    "REPRO_PERSIST_DIR": (None, True),
+    "REPRO_BACKEND": ("reference", False),
+    "REPRO_PYCODEGEN_THRESHOLD": ("0", False),
+    "REPRO_JOBS": ("3", False),
+    "REPRO_MEMO_DIR": ("elsewhere", False),
+    "REPRO_BREAKER_THRESHOLD": ("9", False),
+    "REPRO_BREAKER_COOLDOWN": ("2.5", False),
+    "REPRO_SERVE_PROCS": ("7", False),
+    "REPRO_HEARTBEAT_INTERVAL": ("0.1", False),
+    "REPRO_HEARTBEAT_TIMEOUT": ("9", False),
+    "REPRO_DRAIN_TIMEOUT": ("3", False),
+    "REPRO_SERVE_WORKER": ("1", False),
+    "REPRO_SUPERVISOR_STATE": ("state.json", False),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +229,27 @@ class TestRecordIntegrity:
         assert stats["schema_dropped"] > 0
         assert stats["replayed_entries"] == 0
 
+        # A record of a kind the store no longer has (schema-1 stores
+        # held threaded-backend "fusion" decisions) reads as a schema
+        # mismatch and is dropped, never decoded.
+        before = persist.verify_store(str(tmp_path))
+        digest = persist.digest("fusion", 1, "f")
+        payload = pickle.dumps(True)
+        leftover = tmp_path / f"fusion-{digest}.rec"
+        leftover.write_bytes(pickle.dumps({
+            "schema": 1, "kind": "fusion", "digest": digest,
+            "payload": payload,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }))
+        assert "fusion" not in persist.KINDS
+        after = persist.verify_store(str(tmp_path))
+        assert after["schema"] == before["schema"] + 1
+        assert after["ok"] == before["ok"]
+        store = persist.PersistStore(str(tmp_path))
+        assert store.get("fusion", digest) is None
+        assert store.stats()["schema_dropped"] == 1
+        assert not leftover.exists()
+
     def test_empty_record_file_is_cold_miss(self, tmp_path):
         workload, cold = self._populate(tmp_path)
         for name in _records(tmp_path):
@@ -310,37 +357,52 @@ class TestStoreApi:
         assert persist.resolve_persist_dir() == "/from/env"
         assert persist.resolve_persist_dir("explicit") == "explicit"
 
-    def test_memo_schema_is_six(self):
-        from repro.evalharness.memo import _SCHEMA
-        assert _SCHEMA == 6
-
-    def test_memo_key_tracks_resilience_knobs(self, monkeypatch):
-        """Schema 6 keys the serve-tier knobs: changing the breaker
-        threshold, cooldown, or worker count must change memo keys."""
+    @pytest.mark.parametrize("knob", sorted(_ENV_KNOBS))
+    def test_memo_key_changes_iff_knob_affects_results(
+            self, monkeypatch, tmp_path, knob):
+        """Flip one environment knob: the memo key must change exactly
+        when the knob can change a run's result bytes.  Keying a knob
+        that cannot (breaker policy, worker counts, the backend) only
+        causes needless misses; missing one that can serves wrong
+        bytes."""
         from repro.evalharness.memo import memo_key
         from repro.machine.costs import ALPHA_21164
+        from repro.machine.pycodegen import reset_source_limit_cache
         from repro.runtime.overhead import DEFAULT_OVERHEAD
-        from repro.serve import knobs
         workload = WORKLOADS_BY_NAME["binary"]
 
         def key():
+            # The store dir and source limit resolve once per process.
+            persist.reset()
+            reset_source_limit_cache()
             return memo_key(workload, ALL_ON, ALPHA_21164,
                             DEFAULT_OVERHEAD)
 
-        monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD, raising=False)
-        monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN, raising=False)
-        monkeypatch.delenv(knobs.ENV_SERVE_PROCS, raising=False)
-        base = key()
-        monkeypatch.setenv(knobs.ENV_BREAKER_THRESHOLD, "9")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_BREAKER_THRESHOLD)
-        monkeypatch.setenv(knobs.ENV_BREAKER_COOLDOWN, "2.5")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_BREAKER_COOLDOWN)
-        monkeypatch.setenv(knobs.ENV_SERVE_PROCS, "7")
-        assert key() != base
-        monkeypatch.delenv(knobs.ENV_SERVE_PROCS)
-        assert key() == base
+        for name in _ENV_KNOBS:
+            monkeypatch.delenv(name, raising=False)
+        value, affects_results = _ENV_KNOBS[knob]
+        try:
+            base = key()
+            monkeypatch.setenv(knob, value or str(tmp_path))
+            assert (key() != base) == affects_results
+            monkeypatch.delenv(knob)
+            assert key() == base
+        finally:
+            reset_source_limit_cache()
+
+    def test_knob_table_names_every_env_knob(self):
+        """Every ``REPRO_*`` knob the package reads is classified above,
+        so a new knob cannot slip past the key-sensitivity test."""
+        root = os.path.join(os.path.dirname(persist.__file__), "..")
+        found = set()
+        for directory, _dirs, files in os.walk(root):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name),
+                              encoding="utf-8") as handle:
+                        found.update(re.findall(r"REPRO_[A-Z_]+\b",
+                                                handle.read()))
+        assert found == set(_ENV_KNOBS)
 
 
 class TestCrashConsistency:

@@ -185,23 +185,15 @@ class TestShardedCache:
         assert cache.get("a", "key") == {"v": 1}
         assert cache.get("b", "key") is None   # other tenant: miss
 
-    def test_heat_survives_eviction_and_drives_tiers(self):
+    def test_eviction_keeps_shards_bounded(self):
         cache = ShardedResultCache(shards=1, capacity_per_shard=4)
-        assert cache.backend_for("t", "k") == "reference"
-        for _ in range(cache.tier_threaded):
-            cache.get("t", "k")
-        assert cache.backend_for("t", "k") == "threaded"
-        for _ in range(cache.tier_pycodegen):
-            cache.get("t", "k")
-        assert cache.backend_for("t", "k") == "pycodegen"
-        # Fill the single shard far past capacity; "k" may be evicted
-        # but its heat (tracked beside the shards) must persist.
+        cache.put("t", "k", {"v": 0})
         for i in range(16):
             cache.put("t", f"other-{i}", {"i": i})
-        assert cache.backend_for("t", "k") == "pycodegen"
         stats = cache.stats()
         assert stats["evictions"] > 0
         assert stats["entries"] <= 4
+        assert cache.get("t", "k") is None
 
     def test_stats_shape(self):
         cache = ShardedResultCache(shards=3, capacity_per_shard=8)
@@ -262,7 +254,6 @@ class TestServeApp:
                 status, body = await _post_run(
                     app, {"workload": "binary", "tenant": "t1"})
                 assert status == 200
-                assert body["backend"] == "reference"  # cold key
                 assert "cached" not in body
                 status, again = await _post_run(
                     app, {"workload": "binary", "tenant": "t1"})
@@ -272,6 +263,90 @@ class TestServeApp:
                 offline = run_workload(_workload("binary"))
                 assert body["fingerprint"] == run_fingerprint(offline)
                 assert app.cache_served == 1 and app.executions == 1
+            finally:
+                app.close()
+
+        _run(go())
+
+    def test_cold_key_executes_on_pycodegen(self):
+        """A never-seen key runs on the counted pycodegen backend, and
+        its bytes equal an offline run on the reference interpreter."""
+        async def go():
+            app = _app()
+            try:
+                status, body = await _post_run(
+                    app, {"workload": "dotproduct", "tenant": "cold"})
+                assert status == 200
+                assert body["backend"] == "pycodegen"
+                offline = run_workload(_workload("dotproduct"),
+                                       backend="reference")
+                assert body["fingerprint"] == run_fingerprint(offline)
+                assert body["dynamic_total_cycles"] == \
+                    offline.dynamic_total_cycles
+            finally:
+                app.close()
+
+        _run(go())
+
+    def test_fast_mode_bytes_survive_eviction(self):
+        """A fast-mode key returns the same bytes from its first run,
+        from cache hits, and from a recompute after eviction: every
+        execution uses the same backend, whatever the key's history."""
+        request = {"workload": "dotproduct", "tenant": "fast",
+                   "config": {"codegen_mode": "fast"}}
+
+        async def go():
+            app = _app(shards=1, cache_capacity=2)
+            try:
+                status, first = await _post_run(app, request)
+                assert status == 200 and "cached" not in first
+                for _ in range(8):
+                    status, hit = await _post_run(app, request)
+                    assert status == 200 and hit["cached"] is True
+                    assert dict(hit, cached=None) == \
+                        dict(first, cached=None)
+                for i in range(16):
+                    app.cache.put("filler", f"key-{i}", {"i": i})
+                status, again = await _post_run(app, request)
+                assert status == 200 and "cached" not in again
+                assert app.executions == 2
+                assert again == first
+            finally:
+                app.close()
+
+        _run(go())
+
+    def test_compile_fault_degrades_down_the_ladder(self):
+        """An armed ``pycodegen.compile`` fault makes the served run
+        fall to the threaded rung: the compilations are counted as
+        degraded, the measured cycles stay those of a clean run, and
+        the fingerprint equals the same faulted run offline."""
+        config = {"faults": "pycodegen.compile"}
+
+        async def go():
+            app = _app()
+            try:
+                status, body = await _post_run(app, {
+                    "workload": "dinero", "tenant": "ladder",
+                    "config": config,
+                })
+                assert status == 200
+                assert body["backend"] == "pycodegen"
+                assert body["degradation"]["degraded_compilations"] > 0
+                assert body["degradation"]["degraded_translations"] == 0
+                assert app._stats()["degradation"][
+                    "degraded_compilations"] > 0
+                workload = _workload("dinero")
+                offline = run_workload(
+                    workload, build_config(config), backend="pycodegen")
+                assert body["fingerprint"] == run_fingerprint(offline)
+                clean = run_workload(workload, backend="reference")
+                assert body["static_total_cycles"] == \
+                    clean.static_total_cycles
+                assert body["dynamic_total_cycles"] == \
+                    clean.dynamic_total_cycles
+                assert body["return_values"] == \
+                    list(clean.return_values)
             finally:
                 app.close()
 

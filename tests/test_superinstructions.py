@@ -1,90 +1,18 @@
-"""Superinstruction fusion in the threaded backend: profile-guided
-quickening must leave results and ExecutionStats byte-identical to the
-reference interpreter while actually fusing hot adjacent steps."""
-
-import dataclasses
+"""The threaded backend no longer fuses steps into superinstructions, and
+the ``REPRO_FUSION_THRESHOLD`` knob that drove the fusion is retired.
+A deployment may still export it: the full static+dynamic runs under the
+old "fuse everything" setting (threshold 1) must stay byte-identical to
+the reference interpreter run without it."""
 
 import pytest
 
 from repro.config import ALL_ON
-from repro.ir import FunctionBuilder, Module, Op
-from repro.machine import ALPHA_21164, Machine
-from repro.machine.threaded import (
-    DEFAULT_FUSION_THRESHOLD,
-    ThreadedBackend,
-    resolve_fusion_threshold,
-)
 from repro.workloads import WORKLOADS_BY_NAME
 
-from tests.test_threaded_backend import _run_under, _stats_dict
-
-
-class TestThreshold:
-    def test_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSION_THRESHOLD", raising=False)
-        assert resolve_fusion_threshold() == DEFAULT_FUSION_THRESHOLD
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "5")
-        assert resolve_fusion_threshold() == 5
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "0")
-        assert resolve_fusion_threshold() == 0
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "nope")
-        assert resolve_fusion_threshold() == DEFAULT_FUSION_THRESHOLD
-
-
-def _hot_module():
-    """A function whose body is fusible pairs (imm moves + reg/imm
-    binops), called repeatedly so the translation-cache hot path counts
-    entries past any small threshold."""
-    b = FunctionBuilder("f", ("n",))
-    b.move("a", 3)
-    b.move("b", 4)
-    b.binop("c", Op.MUL, "a", 5)
-    b.binop("d", Op.ADD, "c", 7)
-    b.binop("e", Op.ADD, "d", "n")
-    b.ret("e")
-    mod = Module()
-    mod.add_function(b.finish())
-    return mod
-
-
-class TestQuickening:
-    def test_entry_counting_quickens(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "1")
-        mod = _hot_module()
-        machine = Machine(mod, backend="threaded")
-        values = [machine.run("f", i) for i in range(4)]
-        assert values == [22 + i for i in range(4)]
-        backend = machine._backend
-        assert isinstance(backend, ThreadedBackend)
-        assert backend.quickened_functions >= 1
-        assert backend.fused_specialized + backend.fused_generic > 0
-
-    def test_fused_stats_match_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "1")
-        fused = {}
-        for backend in ("reference", "threaded"):
-            mod = _hot_module()
-            machine = Machine(mod, backend=backend)
-            values = [machine.run("f", i) for i in range(4)]
-            fused[backend] = (values, _stats_dict(machine.stats))
-        assert fused["reference"] == fused["threaded"]
-
-    def test_disabled_threshold_never_fuses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "0")
-        mod = _hot_module()
-        machine = Machine(mod, backend="threaded")
-        for i in range(4):
-            machine.run("f", i)
-        backend = machine._backend
-        assert backend.quickened_functions == 0
-        assert backend.fused_specialized + backend.fused_generic == 0
+from tests.test_threaded_backend import _run_under
 
 
 class TestWorkloadIdentity:
-    """With fusion forced on everywhere (threshold 1), the full
-    static+dynamic runs must stay byte-identical to the reference —
-    fused steps compose the original closures exactly."""
-
     @pytest.mark.parametrize("name", [
         "dinero", "m88ksim", "chebyshev", "pnmconvol",
     ])
@@ -98,53 +26,10 @@ class TestWorkloadIdentity:
 
     def test_threshold_one_pycodegen_fallback_identical(self, monkeypatch):
         """The threaded rung under the pycodegen backend (cold tier,
-        degradations) quickens too; stats must not drift."""
+        degradations) ignores the retired knob too; stats must not drift."""
         monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "1")
         workload = WORKLOADS_BY_NAME["romberg"]
         pycodegen = _run_under(workload, ALL_ON, "pycodegen")
         monkeypatch.delenv("REPRO_FUSION_THRESHOLD")
         reference = _run_under(workload, ALL_ON, "reference")
         assert reference == pycodegen
-
-
-def _loop_module():
-    b = FunctionBuilder("f", ("n",))
-    b.move("i", 0)
-    b.move("acc", 0)
-    b.jump("head")
-    b.label("head")
-    b.binop("go", Op.LT, "i", "n")
-    b.branch("go", "body", "done")
-    b.label("body")
-    b.move("step", 2)
-    b.binop("acc", Op.ADD, "acc", "step")
-    b.binop("i", Op.ADD, "i", 1)
-    b.jump("head")
-    b.label("done")
-    b.ret("acc")
-    mod = Module()
-    mod.add_function(b.finish())
-    return mod
-
-
-class TestDispatchFuel:
-    def test_single_entry_loop_quickens_mid_run(self, monkeypatch):
-        """A function entered once whose loop runs inside the dispatch
-        loop never re-enters translation(); the driver's dispatch-fuel
-        counter must still trigger quickening mid-run."""
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "1")
-        machine = Machine(_loop_module(), backend="threaded")
-        # A single entry; fuel = threshold * 64 = 64 block dispatches,
-        # and 200 iterations dispatch far more than that.
-        assert machine.run("f", 200) == 400
-        backend = machine._backend
-        assert backend.quickened_functions >= 1
-
-    def test_mid_run_quickening_stats_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION_THRESHOLD", "1")
-        threaded = Machine(_loop_module(), backend="threaded")
-        value = threaded.run("f", 200)
-        monkeypatch.delenv("REPRO_FUSION_THRESHOLD")
-        reference = Machine(_loop_module(), backend="reference")
-        assert reference.run("f", 200) == value == 400
-        assert _stats_dict(reference.stats) == _stats_dict(threaded.stats)
