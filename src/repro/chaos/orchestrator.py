@@ -33,7 +33,6 @@ import tempfile
 import time
 
 from repro.runtime.persist import verify_store
-from repro.serve import knobs
 from repro.serve.loadgen import (
     DEFAULT_WORKLOADS,
     LegResult,
@@ -325,9 +324,8 @@ def run_chaos(args: argparse.Namespace) -> tuple[dict, list[str]]:
     snap = os.path.join(scratch, "drain.snap")
     env = {
         # Fast hang detection so heartbeat faults recycle within the
-        # smoke budget; both knobs are part of the memo fingerprint,
-        # but chaos traffic never compares memo keys across runs with
-        # different knobs, so this is safe.
+        # smoke budget.  None of these knobs is result-affecting, so
+        # they leave memo keys and served fingerprints unchanged.
         "REPRO_HEARTBEAT_INTERVAL": "0.25",
         "REPRO_HEARTBEAT_TIMEOUT": "2.0",
         "REPRO_BREAKER_THRESHOLD": str(args.breaker_threshold),

@@ -61,12 +61,12 @@ class OptConfig:
 
     # --- robustness knobs (not optimizations; excluded from
     # --- enabled_names and from Table 5) -------------------------------
-    #: Fault-injection spec (see :mod:`repro.faults`), combined with the
-    #: ``REPRO_FAULTS`` environment variable.
+    #: Fault-injection spec (see :mod:`repro.faults`), combined with
+    #: ``Settings.faults`` (``REPRO_FAULTS``).
     faults: str = ""
     #: Force the graceful-degradation ladder on.  It also activates
-    #: automatically whenever any fault point is armed, or via the
-    #: ``REPRO_DEGRADE`` environment variable.
+    #: automatically whenever any fault point is armed, or via
+    #: ``Settings.degrade`` (``REPRO_DEGRADE``).
     degrade: bool = False
     #: Bound on live entries per ``cache_all`` code cache (0 = unbounded);
     #: full caches evict clock/second-chance victims instead of growing.
@@ -82,8 +82,8 @@ class OptConfig:
     quarantine_after: int = 3
     #: Codegen-backend mode: ``"counted"`` (stats byte-identical to the
     #: reference interpreter) or ``"fast"`` (no cycle accounting).
-    #: Empty means resolve from ``REPRO_CODEGEN_MODE`` / the default
-    #: (``counted``).  Only meaningful with ``backend="pycodegen"``.
+    #: Empty means ``Settings.codegen_mode`` (``REPRO_CODEGEN_MODE``,
+    #: default ``counted``).  Only meaningful with ``backend="pycodegen"``.
     codegen_mode: str = ""
     #: DYC210 size budget (characters) for a region's emitted Python
     #: source; 0 disables the lint.

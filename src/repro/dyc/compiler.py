@@ -51,14 +51,17 @@ class CompiledProgram:
                      tracked=frozenset(),
                      step_limit: int = 500_000_000,
                      backend: str = "reference",
-                     codegen_mode: str = "counted"):
-        """A machine + runtime pair ready to execute this program."""
+                     codegen_mode: str = "counted",
+                     settings=None):
+        """A machine + runtime pair ready to execute this program;
+        ``settings`` adds its fault spec and degrade switch to the
+        config's."""
         # Imported here: the runtime package imports the generating-
         # extension definitions from this package, so a module-level
         # import would be circular.
         from repro.runtime.runtime import DycRuntime
 
-        runtime = DycRuntime(self, overhead=overhead)
+        runtime = DycRuntime(self, overhead=overhead, settings=settings)
         machine = Machine(
             self.module,
             memory=memory,

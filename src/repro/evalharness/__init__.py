@@ -21,16 +21,8 @@
 from repro.evalharness.bench import run_bench, write_bench
 from repro.evalharness.memo import Memoizer, memo_key
 from repro.evalharness.metrics import RegionMetrics, breakeven_point
-from repro.evalharness.parallel import (
-    resolve_jobs,
-    run_ablations,
-    run_configs,
-)
-from repro.evalharness.runner import (
-    RunResult,
-    resolve_backend,
-    run_workload,
-)
+from repro.evalharness.parallel import run_ablations, run_configs
+from repro.evalharness.runner import RunResult, run_workload
 from repro.evalharness.tables import (
     build_table1,
     build_table2,
@@ -46,10 +38,8 @@ __all__ = [
     "breakeven_point",
     "RunResult",
     "run_workload",
-    "resolve_backend",
     "Memoizer",
     "memo_key",
-    "resolve_jobs",
     "run_configs",
     "run_ablations",
     "run_bench",

@@ -6,7 +6,10 @@ comparison of the execution backends, written to ``BENCH_interp.json``),
 or ``warmstart`` (cold vs warm artifact generation against the
 persistent store, written to ``BENCH_warmstart.json``).
 
-Shared flags::
+Each flag below overrides its ``REPRO_*`` environment variable (see
+:class:`repro.settings.Settings`).  The settings are resolved once, in
+this process, and handed to every ``--jobs`` pool worker in its task
+tuple; a malformed value exits 2 before any run starts::
 
     --backend {reference,threaded,pycodegen}
                                      execution backend (default: threaded,
@@ -20,19 +23,14 @@ Shared flags::
     --memo-dir DIR                   cache directory (default .repro_memo,
                                      or $REPRO_MEMO_DIR)
     --persist-dir DIR                activate the persistent artifact
-                                     store at DIR for every run (sets
-                                     REPRO_PERSIST_DIR, so --jobs pool
-                                     workers share it too)
-
-Robustness flags (exported to the environment so pool workers inherit
-them)::
-
+                                     store at DIR for every run, pool
+                                     workers included ($REPRO_PERSIST_DIR)
     --faults SPEC                    arm fault-injection points
-                                     (sets REPRO_FAULTS)
+                                     ($REPRO_FAULTS)
     --degrade                        enable the graceful-degradation
-                                     ladder (sets REPRO_DEGRADE=1)
+                                     ladder ($REPRO_DEGRADE)
     --task-timeout SECS              no-progress timeout per pool round
-                                     (sets REPRO_TASK_TIMEOUT)
+                                     ($REPRO_TASK_TIMEOUT)
 
 ``bench``/``warmstart`` flags: ``--output PATH``, ``--repeat N``
 (bench only), and ``--compare`` (diff the committed report at
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -67,6 +64,7 @@ from repro.evalharness.tables import (
     run_all,
 )
 from repro.machine import BACKENDS, CODEGEN_MODES
+from repro.settings import Settings, SettingsError
 from repro.workloads import APPLICATIONS
 
 TARGETS = ("table1", "table2", "table3", "table4", "table5",
@@ -115,8 +113,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--codegen-mode", choices=CODEGEN_MODES,
                         default=None,
                         help="pycodegen mode (default: "
-                             "$REPRO_CODEGEN_MODE or counted; sets "
-                             "$REPRO_CODEGEN_MODE for workers too)")
+                             "$REPRO_CODEGEN_MODE or counted)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (0 = one per CPU; "
                              "default: $REPRO_JOBS or serial)")
@@ -127,19 +124,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "$REPRO_MEMO_DIR or .repro_memo)")
     parser.add_argument("--persist-dir", default=None, metavar="DIR",
                         help="activate the persistent artifact store at "
-                             "DIR (sets $REPRO_PERSIST_DIR for workers "
-                             "too)")
+                             "DIR for every run (default: "
+                             "$REPRO_PERSIST_DIR)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault-injection spec, e.g. "
                              "'cache.corrupt:once;worker.crash' "
-                             "(sets $REPRO_FAULTS for workers too)")
+                             "(default: $REPRO_FAULTS)")
     parser.add_argument("--degrade", action="store_true",
                         help="enable the graceful-degradation ladder "
-                             "(sets $REPRO_DEGRADE=1)")
+                             "(default: $REPRO_DEGRADE)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECS",
                         help="abandon a pool round after SECS with no "
-                             "completed task (sets $REPRO_TASK_TIMEOUT)")
+                             "completed task (default: "
+                             "$REPRO_TASK_TIMEOUT or none)")
     parser.add_argument("--output", default=DEFAULT_BENCH_PATH,
                         metavar="PATH",
                         help="bench only: where to write the JSON report")
@@ -190,7 +188,7 @@ def _bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warmstart(args: argparse.Namespace) -> int:
+def _warmstart(args: argparse.Namespace, settings: Settings) -> int:
     from repro.evalharness.warmstart import (
         DEFAULT_WARMSTART_PATH,
         compare_warmstart,
@@ -201,7 +199,7 @@ def _warmstart(args: argparse.Namespace) -> int:
     output = args.output
     if output == DEFAULT_BENCH_PATH:
         output = DEFAULT_WARMSTART_PATH
-    report = run_warmstart(backend=args.backend)
+    report = run_warmstart(settings=settings)
     if args.compare:
         try:
             committed = load_warmstart(output)
@@ -242,44 +240,32 @@ def _warmstart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _export_robustness_env(args: argparse.Namespace) -> None:
-    """Publish robustness flags as environment variables.
-
-    The runtime resolves faults/degradation from the environment (on top
-    of ``OptConfig``), and pool workers inherit ``os.environ`` — so one
-    export point covers the serial path, the parent's own runs, and
-    every worker process.
-    """
-    if args.faults is not None:
-        from repro.faults import parse_spec
-        parse_spec(args.faults)   # fail fast on typos, in the parent
-        os.environ["REPRO_FAULTS"] = args.faults
-    if args.degrade:
-        os.environ["REPRO_DEGRADE"] = "1"
-    if args.task_timeout is not None:
-        os.environ["REPRO_TASK_TIMEOUT"] = str(args.task_timeout)
-    if args.codegen_mode is not None:
-        os.environ["REPRO_CODEGEN_MODE"] = args.codegen_mode
-    if args.persist_dir is not None:
-        from repro.runtime import persist
-        os.environ[persist.ENV_PERSIST_DIR] = args.persist_dir
-        # The parent process may already have resolved (and cached) "no
-        # store" — re-resolve so its own runs honor the flag too.
-        persist.reset()
+def _settings(args: argparse.Namespace) -> Settings:
+    return Settings.from_env(
+        backend=args.backend, codegen_mode=args.codegen_mode,
+        jobs=args.jobs, memo_dir=args.memo_dir,
+        persist_dir=args.persist_dir, faults=args.faults,
+        degrade=True if args.degrade else None,
+        task_timeout=args.task_timeout,
+    )
 
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
-    _export_robustness_env(args)
+    try:
+        settings = _settings(args)
+    except SettingsError as err:
+        print(f"bad setting: {err}", file=sys.stderr)
+        return 2
     start = time.time()
 
     if args.what == "bench":
         return _bench(args)
     if args.what == "warmstart":
-        return _warmstart(args)
+        return _warmstart(args, settings)
 
-    memo = None if args.no_memo else Memoizer(args.memo_dir)
-    kwargs = dict(jobs=args.jobs, memo=memo, backend=args.backend)
+    memo = None if args.no_memo else Memoizer(settings.memo_dir)
+    kwargs = dict(memo=memo, settings=settings)
 
     if args.what in ("table1", "all"):
         _emit(build_table1())

@@ -33,32 +33,18 @@ import tempfile
 
 from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
-from repro.evalharness.runner import resolve_codegen_mode
-from repro.faults import resolve_degrade, resolve_fault_spec
 from repro.ir import Memory
 from repro.machine.costs import CostModel
-from repro.machine.pycodegen import resolve_source_limit
-from repro.runtime import persist
 from repro.runtime.overhead import OverheadModel
+from repro.settings import Settings
 from repro.workloads import WORKLOADS_BY_NAME
 from repro.workloads.base import Workload
 
 #: Bump when the RunResult layout or the fingerprint recipe changes;
-#: stale entries from older schemas simply never match.  Schema 7 keys
-#: the resolved codegen mode and drops the knobs that cannot change a
-#: run's bytes (breaker policy, supervised worker count).
-_SCHEMA = 7
-
-#: Default cache directory (relative to the current working directory)
-#: when none is given explicitly or via ``REPRO_MEMO_DIR``.
-DEFAULT_MEMO_DIR = ".repro_memo"
-
-
-def resolve_memo_dir(directory: str | None) -> str:
-    """Resolve a memo directory choice (explicit > env > default)."""
-    if directory is None:
-        directory = os.environ.get("REPRO_MEMO_DIR") or DEFAULT_MEMO_DIR
-    return directory
+#: stale entries from older schemas simply never match.  Schema 8 keys
+#: the result-affecting :class:`~repro.settings.Settings` fields and
+#: nothing else from the environment.
+_SCHEMA = 8
 
 
 def _fingerprint_inputs(workload: Workload) -> str:
@@ -74,37 +60,20 @@ def _fingerprint_inputs(workload: Workload) -> str:
     return repr((tuple(inp.args), has_checksum, memory.words()))
 
 
-def backend_env_fingerprint() -> tuple:
-    """Resolved values of backend-affecting environment knobs.
-
-    These knobs change what a run reports — when the codegen tier
-    refuses an oversize source and walks the backend ladder
-    (``REPRO_PYCODEGEN_SOURCE_LIMIT``, which bumps
-    ``degraded_compilations``), and when the supervised pool abandons a
-    round (``REPRO_TASK_TIMEOUT``, which decides whether a hung worker's
-    task is retried or reported).  Neither is visible in ``OptConfig``,
-    so without feeding the *resolved* values into the key a warm hit
-    could serve a result computed under a different configuration.
-    Knobs that only decide *where* or *how fast* a run executes (the
-    backend, worker counts, breaker policy, compile thresholds) are
-    deliberately absent: keying them would only cause needless misses.
-    The timeout is read through
-    :func:`repro.evalharness.parallel.resolve_task_timeout` lazily to
-    keep this module import-light.
-    """
-    from repro.evalharness.parallel import resolve_task_timeout
-    return (
-        resolve_source_limit(),
-        resolve_task_timeout(),
-    )
-
-
 def memo_key(workload: Workload,
              config: OptConfig,
              cost_model: CostModel,
              overhead: OverheadModel,
-             verify: bool = True) -> str:
-    """SHA-256 key over everything that determines a run's statistics."""
+             verify: bool = True,
+             settings: Settings | None = None) -> str:
+    """SHA-256 key over everything that determines a run's statistics.
+
+    Of the knobs it feeds exactly the fields of ``settings`` (resolved
+    from the environment when not given) tagged ``result_affecting``.
+    Whether a persistent store is active is not fed: a replayed run is
+    byte-identical to a cold one (:mod:`repro.runtime.persist`), and
+    every store record is keyed on ``PERSIST_SCHEMA`` itself.
+    """
     hasher = hashlib.sha256()
 
     def feed(part: object) -> None:
@@ -119,28 +88,7 @@ def memo_key(workload: Workload,
     feed(workload.icache_capacity_bytes)
     feed(_fingerprint_inputs(workload))
     feed(sorted(dataclasses.asdict(config).items()))
-    # Fault-injection and degradation settings change run statistics but
-    # partly live in environment variables (REPRO_FAULTS/REPRO_DEGRADE),
-    # which ``asdict(config)`` cannot see: feed the *resolved* values so a
-    # faulted run can never serve a clean run from the cache (or vice
-    # versa).
-    feed(("resolved_faults", resolve_fault_spec(config)))
-    feed(("resolved_degrade", resolve_degrade(config)))
-    # ``config.codegen_mode`` may be empty and defer to
-    # REPRO_CODEGEN_MODE; fast-mode stats differ from counted ones, so
-    # key the mode the run will actually use.
-    feed(("resolved_codegen_mode",
-          resolve_codegen_mode(config.codegen_mode)))
-    # Backend-affecting environment knobs (same rationale: they change
-    # run behavior but are invisible to ``asdict(config)``).
-    feed(("resolved_env", backend_env_fingerprint()))
-    # Persistent-store state: schema version and whether a store is
-    # active.  Artifact records are themselves keyed on this memo key
-    # plus the persist schema, so a snapshot from an older persist
-    # layout (or a run that flipped persistence on/off) can never serve
-    # a stale memoized result.
-    feed(("persist", (persist.PERSIST_SCHEMA,
-                      persist.active_store() is not None)))
+    feed((settings or Settings.from_env()).result_key())
     feed(sorted(dataclasses.asdict(cost_model).items()))
     feed(sorted(dataclasses.asdict(overhead).items()))
     feed(verify)
@@ -150,8 +98,8 @@ def memo_key(workload: Workload,
 class Memoizer:
     """A directory of pickled run results keyed by content hash."""
 
-    def __init__(self, directory: str | None = None):
-        self.directory = resolve_memo_dir(directory)
+    def __init__(self, directory: str):
+        self.directory = directory
 
     # -- key construction ------------------------------------------------
 

@@ -11,10 +11,12 @@ checksum callables that may not pickle.
 ``jobs <= 1`` runs every task serially in-process through the exact same
 worker functions, so the two paths cannot drift apart behaviourally.
 Workers share the memo cache directory (if any); its atomic writes make
-that safe without locking.
+that safe without locking.  Every task tuple carries the caller's
+resolved :class:`~repro.settings.Settings`, so workers never consult
+their environment.
 
 The pool is *supervised*: a worker that raises, dies (``worker.crash``),
-or stops making progress (``worker.hang`` + ``REPRO_TASK_TIMEOUT``) does
+or stops making progress (``worker.hang`` + ``Settings.task_timeout``) does
 not take the sweep down with it.  Failed tasks are retried once in a
 fresh pool round, then once more inline in the parent process; tasks
 that still fail are collected as :class:`TaskFailure` records and
@@ -38,41 +40,9 @@ from repro.config import ALL_ON, OptConfig
 from repro.errors import HarnessError, SpecializationError, WorkerFault
 from repro.evalharness.memo import Memoizer
 from repro.evalharness.runner import RunResult, run_workload
-from repro.faults import FaultRegistry, resolve_fault_spec
+from repro.faults import FaultRegistry
+from repro.settings import Settings
 from repro.workloads import WORKLOADS_BY_NAME
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Resolve a worker-count choice.
-
-    ``None`` falls back to the ``REPRO_JOBS`` environment variable, then
-    to 1 (serial).  ``0`` means "one worker per CPU".
-    """
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def resolve_task_timeout() -> float:
-    """Per-round no-progress timeout in seconds (0 disables it).
-
-    Read from ``REPRO_TASK_TIMEOUT``.  The timeout is deliberately
-    *no-progress* rather than per-task: any completion resets the clock,
-    so a large sweep with one slow task is not misdiagnosed as hung.
-    """
-    env = os.environ.get("REPRO_TASK_TIMEOUT")
-    if not env:
-        return 0.0
-    try:
-        value = float(env)
-    except ValueError:
-        return 0.0
-    return max(0.0, value)
 
 
 @dataclasses.dataclass
@@ -106,7 +76,7 @@ def _unpack(fields: dict) -> RunResult:
 # Worker functions (must be top-level for pickling)
 # ----------------------------------------------------------------------
 
-def _worker_faults(attempt: int) -> None:
+def _worker_faults(settings: Settings, attempt: int) -> None:
     """Fire injected worker faults, on the first pool attempt only.
 
     ``attempt`` is 0 for the initial pool round, positive for retries,
@@ -116,12 +86,9 @@ def _worker_faults(attempt: int) -> None:
     keeps the retry ladder deterministic: the re-dispatched task runs
     clean.
     """
-    if attempt != 0:
+    if attempt != 0 or not settings.faults:
         return
-    spec = resolve_fault_spec(None)
-    if not spec:
-        return
-    registry = FaultRegistry.from_spec(spec)
+    registry = FaultRegistry.from_spec(settings.faults)
     if registry.enabled("worker.hang") \
             and registry.should_fire("worker.hang"):
         time.sleep(registry.param("worker.hang", "secs", 30.0))
@@ -135,12 +102,12 @@ def _worker_faults(attempt: int) -> None:
 
 def _run_config_task(task) -> dict:
     """Worker: run one workload under one configuration."""
-    name, config, backend, memo_dir, *rest = task
-    _worker_faults(rest[0] if rest else -1)
+    name, config, settings, memo_dir, attempt = task
+    _worker_faults(settings, attempt)
     workload = WORKLOADS_BY_NAME[name]
     memo = Memoizer(memo_dir) if memo_dir is not None else None
-    return _pack(run_workload(workload, config, backend=backend,
-                              memo=memo))
+    return _pack(run_workload(workload, config, memo=memo,
+                              settings=settings))
 
 
 def _run_ablation_task(task) -> tuple[dict, bool]:
@@ -150,18 +117,18 @@ def _run_ablation_task(task) -> tuple[dict, bool]:
     if the ablation alone makes specialization diverge, additionally
     disable complete loop unrolling and star the result.
     """
-    name, ablation, backend, memo_dir, *rest = task
-    _worker_faults(rest[0] if rest else -1)
+    name, ablation, settings, memo_dir, attempt = task
+    _worker_faults(settings, attempt)
     workload = WORKLOADS_BY_NAME[name]
     memo = Memoizer(memo_dir) if memo_dir is not None else None
     try:
         result = run_workload(workload, ALL_ON.without(ablation),
-                              backend=backend, memo=memo)
+                              memo=memo, settings=settings)
         starred = False
     except SpecializationError:
         result = run_workload(
             workload, ALL_ON.without(ablation, "complete_loop_unrolling"),
-            backend=backend, memo=memo,
+            memo=memo, settings=settings,
         )
         starred = True
     return _pack(result), starred
@@ -240,7 +207,8 @@ def _pool_round(worker, payloads, pending, jobs: int, attempt: int,
     return retry
 
 
-def _map_tasks(worker, payloads, jobs: int | None, on_done=None) -> list:
+def _map_tasks(worker, payloads, settings: Settings,
+               on_done=None) -> list:
     """Run ``worker`` over ``payloads``, preserving input order.
 
     Supervision ladder per task: pool attempt 0 (worker faults armed) →
@@ -248,7 +216,7 @@ def _map_tasks(worker, payloads, jobs: int | None, on_done=None) -> list:
     Raises :class:`HarnessError` listing every task that exhausted the
     ladder — only after all other tasks have completed.
     """
-    jobs = resolve_jobs(jobs)
+    jobs = settings.jobs or os.cpu_count() or 1
     results: list = [None] * len(payloads)
     failures: dict[int, TaskFailure] = {}
 
@@ -266,7 +234,7 @@ def _map_tasks(worker, payloads, jobs: int | None, on_done=None) -> list:
                 failures[index] = TaskFailure(index, type(err).__name__,
                                               str(err), 1)
     else:
-        timeout = resolve_task_timeout()
+        timeout = settings.task_timeout
         pending = list(range(len(payloads)))
         for attempt in range(2):
             if not pending:
@@ -288,36 +256,47 @@ def _map_tasks(worker, payloads, jobs: int | None, on_done=None) -> list:
     return results
 
 
+def _settings(settings: Settings | None, jobs: int | None) -> Settings:
+    return (settings or Settings.from_env()).override(jobs=jobs)
+
+
 def run_configs(tasks: list[tuple[str, OptConfig]],
                 jobs: int | None = None,
-                backend: str | None = None,
                 memo: Memoizer | None = None,
-                progress=None) -> list[RunResult]:
-    """Run (workload name, config) tasks, possibly in parallel."""
+                progress=None,
+                settings: Settings | None = None) -> list[RunResult]:
+    """Run (workload name, config) tasks, possibly in parallel.
+
+    ``jobs`` overrides ``settings.jobs``; ``settings`` is resolved from
+    the environment when not given.
+    """
+    settings = _settings(settings, jobs)
     memo_dir = memo.directory if memo is not None else None
-    payloads = [(name, config, backend, memo_dir)
+    payloads = [(name, config, settings, memo_dir)
                 for name, config in tasks]
     on_done = None
     if progress is not None:
         on_done = lambda index: progress(*tasks[index])  # noqa: E731
-    packed = _map_tasks(_run_config_task, payloads, jobs, on_done)
+    packed = _map_tasks(_run_config_task, payloads, settings, on_done)
     return [_unpack(fields) for fields in packed]
 
 
 def run_ablations(tasks: list[tuple[str, str]],
                   jobs: int | None = None,
-                  backend: str | None = None,
                   memo: Memoizer | None = None,
-                  progress=None) -> list[tuple[RunResult, bool]]:
+                  progress=None,
+                  settings: Settings | None = None
+                  ) -> list[tuple[RunResult, bool]]:
     """Run (workload name, ablation) tasks for Table 5.
 
     Returns ``(result, starred)`` per task, aligned with the input.
     """
+    settings = _settings(settings, jobs)
     memo_dir = memo.directory if memo is not None else None
-    payloads = [(name, ablation, backend, memo_dir)
+    payloads = [(name, ablation, settings, memo_dir)
                 for name, ablation in tasks]
     on_done = None
     if progress is not None:
         on_done = lambda index: progress(*tasks[index])  # noqa: E731
-    packed = _map_tasks(_run_ablation_task, payloads, jobs, on_done)
+    packed = _map_tasks(_run_ablation_task, payloads, settings, on_done)
     return [(_unpack(fields), starred) for fields, starred in packed]

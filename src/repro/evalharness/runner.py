@@ -10,7 +10,6 @@ invocation count, mirroring the paper's measurement methodology (§3.3).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.config import ALL_ON, OptConfig
@@ -24,6 +23,7 @@ from repro.machine.costs import CostModel
 from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD, OverheadModel
 from repro.runtime.stats import RegionStats
+from repro.settings import Settings
 from repro.workloads.base import Workload
 
 
@@ -141,35 +141,6 @@ def _machine_kwargs(workload: Workload, cost_model: CostModel,
                 codegen_mode=codegen_mode)
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Resolve an execution backend choice.
-
-    ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
-    then to the fast threaded backend (all backends produce
-    byte-identical stats — pycodegen in counted mode — so the harness
-    defaults to a fast one).
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "threaded"
-    if backend not in ("reference", "threaded", "pycodegen"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
-
-
-def resolve_codegen_mode(mode: str | None) -> str:
-    """Resolve the pycodegen mode choice.
-
-    ``None``/empty falls back to the ``REPRO_CODEGEN_MODE`` environment
-    variable, then to ``counted`` (stats byte-identical to the
-    reference interpreter; ``fast`` drops all cycle accounting).
-    """
-    if not mode:
-        mode = os.environ.get("REPRO_CODEGEN_MODE") or "counted"
-    if mode not in ("counted", "fast"):
-        raise ValueError(f"unknown codegen mode {mode!r}")
-    return mode
-
-
 def run_workload(workload: Workload,
                  config: OptConfig = ALL_ON,
                  cost_model: CostModel = ALPHA_21164,
@@ -178,8 +149,13 @@ def run_workload(workload: Workload,
                  verify: bool = True,
                  backend: str | None = None,
                  codegen_mode: str | None = None,
-                 memo=None) -> RunResult:
+                 memo=None,
+                 settings: Settings | None = None) -> RunResult:
     """Execute ``workload`` statically and dynamically; return metrics.
+
+    ``backend`` and ``codegen_mode`` (else ``config.codegen_mode``)
+    override ``settings``, which is resolved from the environment when
+    not given.
 
     With a :class:`~repro.evalharness.memo.Memoizer` in ``memo``, the run
     (or its deterministic :class:`SpecializationError`) is served from and
@@ -188,23 +164,25 @@ def run_workload(workload: Workload,
     except pycodegen in fast mode, which drops cycle accounting, so
     fast-mode runs bypass the memo entirely.
     """
-    backend = resolve_backend(backend)
-    codegen_mode = resolve_codegen_mode(codegen_mode
-                                        or config.codegen_mode)
+    settings = (settings or Settings.from_env()).override(
+        backend=backend,
+        codegen_mode=codegen_mode or config.codegen_mode or None,
+    )
+    backend, codegen_mode = settings.backend, settings.codegen_mode
     if backend == "pycodegen" and codegen_mode == "fast":
         # Fast-mode stats are not the shared byte-identical stats the
         # cache is keyed for; never serve or store them.
         memo = None
     if memo is not None and module is None:
-        key = memo.key_for(workload, config, cost_model, overhead, verify)
+        key = memo.key_for(workload, config, cost_model, overhead, verify,
+                           settings)
         cached = memo.get(key)   # raises cached SpecializationError
         if cached is not None:
             return cached
         try:
             result = run_workload(
                 workload, config, cost_model, overhead,
-                verify=verify, backend=backend,
-                codegen_mode=codegen_mode,
+                verify=verify, settings=settings,
             )
         except SpecializationError as err:
             memo.put_error(key, err)
@@ -233,18 +211,23 @@ def run_workload(workload: Workload,
     dynamic_input = workload.setup(dynamic_memory)
     dynamic_machine, runtime = compiled.make_machine(
         memory=dynamic_memory, tracked=tracked, overhead=overhead,
+        settings=settings,
         **_machine_kwargs(workload, cost_model, backend, codegen_mode),
     )
     persist_store = persist.active_store()
+    if persist_store is None and settings.persist_dir:
+        persist_store = persist.activate(settings.persist_dir,
+                                         settings.faults)
     if persist_store is not None and canonical_module \
-            and persist.run_eligible(config):
+            and persist.run_eligible(config, settings):
         # Route entry/continuation specialization through the
         # cross-process store, keyed like the memo cache keys runs (the
         # import is lazy only to keep runner import-light).
         from repro.evalharness.memo import memo_key
         persist.bind_runtime(
             runtime, persist_store,
-            memo_key(workload, config, cost_model, overhead, verify),
+            memo_key(workload, config, cost_model, overhead, verify,
+                     settings),
         )
     dynamic_result = dynamic_machine.run(workload.entry,
                                          *dynamic_input.args)

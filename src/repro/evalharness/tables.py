@@ -10,6 +10,7 @@ from repro.dyc import compile_annotated
 from repro.evalharness.parallel import run_ablations, run_configs
 from repro.evalharness.runner import RunResult
 from repro.frontend import compile_source
+from repro.settings import Settings
 from repro.workloads import ALL_WORKLOADS, APPLICATIONS
 
 
@@ -228,9 +229,8 @@ def applicable_ablations(result: RunResult, function: str) -> list[str]:
 
 def build_table5(baseline: dict[str, RunResult] | None = None,
                  progress=None,
-                 jobs: int | None = None,
                  memo=None,
-                 backend: str | None = None) -> Table:
+                 settings: Settings | None = None) -> Table:
     """Run every applicable single-optimization ablation (Table 5).
 
     Some ablations make unbounded specialization possible (mipsi without
@@ -242,7 +242,7 @@ def build_table5(baseline: dict[str, RunResult] | None = None,
     identically in serial and ``--jobs N`` runs.
     """
     if baseline is None:
-        baseline = run_all(ALL_ON, jobs=jobs, memo=memo, backend=backend)
+        baseline = run_all(ALL_ON, memo=memo, settings=settings)
     table = Table(
         title="Table 5: Region Speedups without a Particular Feature",
         headers=(["Dynamic Region", "All Opts"]
@@ -265,8 +265,8 @@ def build_table5(baseline: dict[str, RunResult] | None = None,
             key=TABLE5_ABLATIONS.index,
         )
         tasks.extend((workload.name, ablation) for ablation in needed)
-    outcomes = run_ablations(tasks, jobs=jobs, backend=backend,
-                             memo=memo, progress=progress)
+    outcomes = run_ablations(tasks, memo=memo, progress=progress,
+                             settings=settings)
     by_task = dict(zip(tasks, outcomes))
 
     for workload in ALL_WORKLOADS:
@@ -309,17 +309,16 @@ def build_table5(baseline: dict[str, RunResult] | None = None,
 
 def run_all(config: OptConfig = ALL_ON,
             workloads=ALL_WORKLOADS,
-            jobs: int | None = None,
             memo=None,
-            backend: str | None = None) -> dict[str, RunResult]:
+            settings: Settings | None = None) -> dict[str, RunResult]:
     """Run every workload once under ``config``.
 
-    ``jobs`` fans runs out over a process pool (``None`` → serial unless
-    ``REPRO_JOBS`` is set); ``memo`` is an optional
-    :class:`~repro.evalharness.memo.Memoizer` shared by all workers.
+    ``settings.jobs`` fans runs out over a process pool; ``memo`` is an
+    optional :class:`~repro.evalharness.memo.Memoizer` shared by all
+    workers.
     """
     tasks = [(workload.name, config) for workload in workloads]
-    results = run_configs(tasks, jobs=jobs, backend=backend, memo=memo)
+    results = run_configs(tasks, memo=memo, settings=settings)
     return {
         workload.name: result
         for workload, result in zip(workloads, results)

@@ -47,8 +47,9 @@ import tempfile
 import time
 
 from repro.config import ALL_ON, OptConfig
-from repro.evalharness.runner import resolve_backend, run_workload
+from repro.evalharness.runner import run_workload
 from repro.runtime import persist
+from repro.settings import Settings
 from repro.workloads import ALL_WORKLOADS
 
 DEFAULT_WARMSTART_PATH = "BENCH_warmstart.json"
@@ -111,7 +112,8 @@ def run_fingerprints(result) -> tuple[str, str]:
     return stats_fp, results_fp
 
 
-def _one_leg(workload, config: OptConfig, backend: str, store_dir: str):
+def _one_leg(workload, config: OptConfig, settings: Settings,
+             store_dir: str):
     """Run ``workload`` against the store at ``store_dir``.
 
     Returns ``(result, store_stats, work_seconds)`` where
@@ -119,9 +121,9 @@ def _one_leg(workload, config: OptConfig, backend: str, store_dir: str):
     store observed during this leg.
     """
     persist.reset()
-    persist.activate(store_dir)
+    persist.activate(store_dir, settings.faults)
     try:
-        result = run_workload(workload, config, backend=backend)
+        result = run_workload(workload, config, settings=settings)
         store = persist.active_store()
         store_stats = store.stats()
         work = sum(store_stats["work_seconds"].values())
@@ -132,9 +134,9 @@ def _one_leg(workload, config: OptConfig, backend: str, store_dir: str):
 
 def run_warmstart(workloads=ALL_WORKLOADS,
                   config: OptConfig = ALL_ON,
-                  backend: str | None = None) -> dict:
+                  settings: Settings | None = None) -> dict:
     """Benchmark cold vs warm artifact generation; return the report."""
-    backend = resolve_backend(backend)
+    settings = settings or Settings.from_env()
     per_workload: dict[str, dict] = {}
     total_cold = total_warm = 0.0
     all_match = True
@@ -148,7 +150,7 @@ def run_warmstart(workloads=ALL_WORKLOADS,
             snap_path = os.path.join(scratch, f"{workload.name}.snap")
 
             cold, cold_stats, cold_work = _one_leg(
-                workload, config, backend, cold_dir)
+                workload, config, settings, cold_dir)
 
             snap_start = time.perf_counter()
             saved = persist.save_snapshot(cold_dir, snap_path)
@@ -160,7 +162,7 @@ def run_warmstart(workloads=ALL_WORKLOADS,
                     f"(save: {saved.error}, load: {loaded.error})")
 
             warm, warm_stats, warm_work = _one_leg(
-                workload, config, backend, warm_dir)
+                workload, config, settings, warm_dir)
 
             cold_fp = run_fingerprints(cold)
             warm_fp = run_fingerprints(warm)
@@ -200,7 +202,7 @@ def run_warmstart(workloads=ALL_WORKLOADS,
         "schema": 1,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "backend": backend,
+        "backend": settings.backend,
         "warm_ratio_limit": WARM_RATIO_LIMIT,
         "workloads": per_workload,
         "totals": {

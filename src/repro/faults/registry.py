@@ -21,16 +21,15 @@ A spec is a ``;``-separated list of ``point[:param[,param...]]`` entries::
     worker.error:p=0.5,seed=7        fire pseudo-randomly (deterministic)
     worker.hang:once,secs=2          point-specific extras ride along
 
-Specs combine from ``OptConfig.faults`` and the ``REPRO_FAULTS``
-environment variable (see :func:`resolve_fault_spec`); arming any fault
-point also switches the runtime's graceful degradation on by default
-(:func:`resolve_degrade`), since injecting faults without the ladder
-would just crash.
+Specs combine from ``OptConfig.faults`` and ``Settings.faults`` (the
+``REPRO_FAULTS`` environment variable; see :func:`resolve_fault_spec`);
+arming any fault point also switches the runtime's graceful degradation
+on by default (:func:`resolve_degrade`), since injecting faults without
+the ladder would just crash.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.errors import FaultConfigError
@@ -266,7 +265,7 @@ class FaultRegistry:
 
 
 # ----------------------------------------------------------------------
-# Resolution helpers (config + environment)
+# Resolution helpers (config + settings)
 # ----------------------------------------------------------------------
 
 def combine_specs(*parts: str | None) -> str:
@@ -274,29 +273,27 @@ def combine_specs(*parts: str | None) -> str:
     return ";".join(p for p in parts if p)
 
 
-def resolve_fault_spec(config=None) -> str:
-    """Effective fault spec: ``OptConfig.faults`` plus ``REPRO_FAULTS``.
+def resolve_fault_spec(config=None, settings=None) -> str:
+    """Effective fault spec: ``OptConfig.faults`` plus ``Settings.faults``.
 
-    The environment part comes second so it can override per-point
+    The settings part comes second so it can override per-point
     triggers set in the config.
     """
-    config_spec = getattr(config, "faults", "") if config is not None \
-        else ""
-    return combine_specs(config_spec, os.environ.get("REPRO_FAULTS"))
+    return combine_specs(getattr(config, "faults", ""),
+                         getattr(settings, "faults", ""))
 
 
-def resolve_degrade(config=None) -> bool:
+def resolve_degrade(config=None, settings=None) -> bool:
     """Is the graceful-degradation ladder active?
 
-    On when ``OptConfig.degrade`` is set, when ``REPRO_DEGRADE`` is a
-    truthy string, or when any fault point is armed (injecting faults
-    without the ladder would just crash, which defeats the exercise).
+    On when ``OptConfig.degrade`` is set; otherwise ``Settings.degrade``
+    decides when it is not ``None``; otherwise on exactly when a fault
+    point is armed (injecting faults without the ladder would just
+    crash, which defeats the exercise).
     """
-    if config is not None and getattr(config, "degrade", False):
+    if getattr(config, "degrade", False):
         return True
-    env = os.environ.get("REPRO_DEGRADE", "").strip().lower()
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    return bool(resolve_fault_spec(config))
+    forced = getattr(settings, "degrade", None)
+    if forced is not None:
+        return forced
+    return bool(resolve_fault_spec(config, settings))

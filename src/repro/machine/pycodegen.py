@@ -58,7 +58,6 @@ from __future__ import annotations
 import importlib.util
 import marshal
 import math
-import os
 import time
 
 from repro.errors import MachineError, TrapError
@@ -99,9 +98,8 @@ CODEGEN_MODES = ("counted", "fast")
 
 #: Refuse to compile generated sources larger than this many characters
 #: (runaway unrolling at the codegen tier); the refusal degrades down
-#: the backend ladder instead of failing the run.  Overridable via
-#: ``REPRO_PYCODEGEN_SOURCE_LIMIT``.
-DEFAULT_SOURCE_LIMIT = 2_000_000
+#: the backend ladder instead of failing the run.
+SOURCE_LIMIT = 2_000_000
 
 #: Bound on retained translations in the backing code cache.
 DEFAULT_CACHE_CAPACITY = 256
@@ -115,13 +113,12 @@ DEFAULT_CACHE_CAPACITY = 256
 #: are precisely the small ones); a larger region (typically a
 #: completely-unrolled, straight-line body whose per-entry work is
 #: bounded by its footprint) must first prove itself hot by running
-#: ``max(DEFAULT_COMPILE_THRESHOLD, footprint // 4)`` entries on the
+#: ``max(COMPILE_THRESHOLD, footprint // 4)`` entries on the
 #: threaded tier, which is stats-identical, before the backend pays
 #: for ``compile()``.  Host functions are always compiled eagerly
-#: (few, small, shared across contexts).  The entry threshold is
-#: overridable via ``REPRO_PYCODEGEN_THRESHOLD``; 0 disables tiering
-#: and compiles every region eagerly.
-DEFAULT_COMPILE_THRESHOLD = 8
+#: (few, small, shared across contexts).  A threshold of 0 disables
+#: tiering and compiles every region eagerly.
+COMPILE_THRESHOLD = 8
 
 #: Regions at or below this instruction footprint compile eagerly.
 EAGER_FOOTPRINT = 128
@@ -136,50 +133,6 @@ EAGER_FOOTPRINT = 128
 #: CPython's ``compile()`` entirely.
 _CODE_OBJECTS: dict[str, object] = {}
 _CODE_OBJECTS_CAP = 256
-
-
-def resolve_compile_threshold(
-        default: int = DEFAULT_COMPILE_THRESHOLD) -> int:
-    raw = os.environ.get("REPRO_PYCODEGEN_THRESHOLD", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
-
-
-#: Memoized ``REPRO_PYCODEGEN_SOURCE_LIMIT`` — parsed once per process,
-#: like the other env knobs (e.g. the persist dir); tests reset
-#: it via :func:`reset_source_limit_cache`.
-_SOURCE_LIMIT_CACHE: int | None = None
-
-
-def resolve_source_limit(default: int = DEFAULT_SOURCE_LIMIT) -> int:
-    global _SOURCE_LIMIT_CACHE
-    if default != DEFAULT_SOURCE_LIMIT:
-        # A caller-supplied default participates in the fallback, so it
-        # cannot share the process-wide memo.
-        return _parse_source_limit(default)
-    if _SOURCE_LIMIT_CACHE is None:
-        _SOURCE_LIMIT_CACHE = _parse_source_limit(default)
-    return _SOURCE_LIMIT_CACHE
-
-
-def _parse_source_limit(default: int) -> int:
-    raw = os.environ.get("REPRO_PYCODEGEN_SOURCE_LIMIT", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
-
-
-def reset_source_limit_cache() -> None:
-    """Test hook: re-read ``REPRO_PYCODEGEN_SOURCE_LIMIT`` next time."""
-    global _SOURCE_LIMIT_CACHE
-    _SOURCE_LIMIT_CACHE = None
 
 
 class CompileFault(MachineError):
@@ -810,8 +763,8 @@ class PyCodegenBackend:
             )
         self.machine = machine
         self.mode = mode
-        self.source_limit = resolve_source_limit()
-        self.compile_threshold = resolve_compile_threshold()
+        self.source_limit = SOURCE_LIMIT
+        self.compile_threshold = COMPILE_THRESHOLD
         #: Region-code heat for tiered compilation: id(code) ->
         #: [code, entries, tiered_up].  Holds a strong reference to the
         #: code object so a recycled id can never alias a new region.

@@ -20,10 +20,10 @@ specialized artifacts:
     and (when the interpreter magic matches) bytecode compilation.
 
 Keys are content hashes derived the way :mod:`repro.evalharness.memo`
-keys runs — run context (workload content + resolved config/env knobs)
-plus artifact-local identity plus a per-run sequence number — so a store
-entry can only ever be replayed into a byte-identical run prefix, and
-any divergence degrades to a cold miss.
+keys runs — run context (workload content + config + result-affecting
+settings) plus artifact-local identity plus a per-run sequence number —
+so a store entry can only ever be replayed into a byte-identical run
+prefix, and any divergence degrades to a cold miss.
 
 Integrity reuses the PR 3 machinery: every record carries a sha256 over
 its payload (plus schema and key echo), the in-process front cache is a
@@ -67,7 +67,6 @@ from repro.runtime.stats import RegionStats
 #: trace-layout profile from the ``pycodegen`` digest.
 PERSIST_SCHEMA = 2
 
-ENV_PERSIST_DIR = "REPRO_PERSIST_DIR"
 DEFAULT_PERSIST_DIR = ".repro_persist"
 
 #: Artifact kinds the store accepts (also the filename prefix).
@@ -267,16 +266,14 @@ class PersistStore:
     daemon's worker threads may share one instance.
     """
 
-    def __init__(self, directory: str) -> None:
+    def __init__(self, directory: str, fault_spec: str = "") -> None:
         self.directory = os.path.abspath(directory)
         self._front = CodeCache(capacity=_FRONT_CAPACITY,
                                 checksum=entry_checksum, lock=True)
         self._lock = threading.Lock()
         #: Default registry for callers without a run-scoped one (the
         #: snapshot CLI, serve-level warm loads).
-        self.faults = FaultRegistry.from_spec(
-            os.environ.get("REPRO_FAULTS")
-        )
+        self.faults = FaultRegistry.from_spec(fault_spec)
         self.hits = 0
         self.front_hits = 0
         self.misses = 0
@@ -543,58 +540,31 @@ def load_snapshot(path: str, store_dir: str) -> SnapshotResult:
 # ----------------------------------------------------------------------
 
 _active: PersistStore | None = None
-_env_checked = False
 
 
-def resolve_persist_dir(directory: str | None = None) -> str:
-    """Resolve a store-directory choice (explicit > env > default)."""
-    if directory:
-        return directory
-    return (os.environ.get(ENV_PERSIST_DIR, "").strip()
-            or DEFAULT_PERSIST_DIR)
-
-
-def activate(directory: str) -> PersistStore:
+def activate(directory: str, fault_spec: str = "") -> PersistStore:
     """Activate persistence for this process, rooted at ``directory``."""
-    global _active, _env_checked
-    _active = PersistStore(directory)
-    _env_checked = True
+    global _active
+    _active = PersistStore(directory, fault_spec)
     return _active
-
-
-def deactivate() -> None:
-    global _active, _env_checked
-    _active = None
-    _env_checked = True
 
 
 def active_store() -> PersistStore | None:
-    """The process-wide store, resolving ``REPRO_PERSIST_DIR`` once.
-
-    Pool workers inherit the environment, so a harness activated via the
-    environment variable warms every ``--jobs`` worker automatically.
-    """
-    global _active, _env_checked
-    if not _env_checked:
-        _env_checked = True
-        directory = os.environ.get(ENV_PERSIST_DIR, "").strip()
-        if directory:
-            _active = PersistStore(directory)
+    """The process-wide store, if one is active."""
     return _active
 
 
-def reset(clear_env_cache: bool = True) -> None:
-    """Test hook: drop the active store (and re-read the env next time)."""
-    global _active, _env_checked
+def reset() -> None:
+    """Drop the active store."""
+    global _active
     _active = None
-    _env_checked = not clear_env_cache
 
 
 # ----------------------------------------------------------------------
 # Run-level binding (entry + continuation artifacts)
 # ----------------------------------------------------------------------
 
-def run_eligible(config) -> bool:
+def run_eligible(config, settings=None) -> bool:
     """May this run's entry/cont artifacts be persisted and replayed?
 
     Annotation-checking runs install memory watches during static loads
@@ -606,7 +576,7 @@ def run_eligible(config) -> bool:
     if getattr(config, "check_annotations", False):
         return False
     try:
-        specs = parse_spec(resolve_fault_spec(config))
+        specs = parse_spec(resolve_fault_spec(config, settings))
     except Exception:
         return False
     return all(point in _PERSIST_POINTS for point in specs)

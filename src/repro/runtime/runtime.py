@@ -34,24 +34,25 @@ from repro.runtime.stats import RuntimeStats
 class DycRuntime:
     """Run-time dispatching, specialization, and statistics.
 
-    When the degradation ladder is active (``config.degrade``, the
-    ``REPRO_DEGRADE`` environment variable, or any armed fault point) a
+    When the degradation ladder is active (``config.degrade``,
+    ``Settings.degrade``, or any armed fault point) a
     failed specialization no longer aborts execution: the dispatcher
     retries once, then runs the region *unspecialized* from its template,
     and quarantines a (region, context) pair that keeps failing so later
     dispatches skip straight to the fallback (a circuit breaker).
     """
 
-    def __init__(self, compiled, overhead: OverheadModel | None = None):
+    def __init__(self, compiled, overhead: OverheadModel | None = None,
+                 settings=None):
         self.compiled = compiled
         self.config = compiled.config
         self.overhead = overhead if overhead is not None else \
             DEFAULT_OVERHEAD
         self.stats = RuntimeStats()
         self.faults = FaultRegistry.from_spec(
-            resolve_fault_spec(self.config)
+            resolve_fault_spec(self.config, settings)
         )
-        self.degrade = resolve_degrade(self.config)
+        self.degrade = resolve_degrade(self.config, settings)
         self.quarantine_after = max(1, self.config.quarantine_after)
         self.specializer = Specializer(self)
         self.entry_caches: dict[int, object] = {}

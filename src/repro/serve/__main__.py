@@ -20,9 +20,6 @@ Flags::
                             per-(tenant, workload) circuit breaker
                             (default $REPRO_BREAKER_THRESHOLD or 5;
                             0 disables)
-    --breaker-cooldown S    open-breaker cooldown before the half-open
-                            probe (default $REPRO_BREAKER_COOLDOWN
-                            or 1.0)
     --persist-dir DIR       activate the persistent artifact store at
                             DIR (default with --snapshot:
                             $REPRO_PERSIST_DIR or .repro_persist)
@@ -30,9 +27,11 @@ Flags::
                             the store before accepting traffic (a bad
                             snapshot is skipped; the daemon starts cold)
 
-The daemon prints one ``serving on http://host:port`` line to stderr
-once the socket is bound, so supervisors (and the CI smoke job) can
-wait for readiness by watching stderr or polling ``GET /healthz``.
+The ``REPRO_*`` settings are resolved once at start-up; a malformed
+value (or fault spec) exits 2 before the socket is bound.  The daemon
+prints one ``serving on http://host:port`` line to stderr once the
+socket is bound, so supervisors (and the CI smoke job) can wait for
+readiness by watching stderr or polling ``GET /healthz``.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import argparse
 import asyncio
 import sys
 
+from repro.errors import FaultConfigError
 from repro.faults import combine_specs, parse_spec
 from repro.serve.app import (
     DEFAULT_CAPACITY_PER_SHARD,
@@ -50,6 +50,7 @@ from repro.serve.app import (
     ServeApp,
 )
 from repro.serve.http import ServeDaemon
+from repro.settings import Settings, SettingsError
 
 DEFAULT_PORT = 8950
 
@@ -97,19 +98,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "per-(tenant, workload) circuit breaker "
                              "(default $REPRO_BREAKER_THRESHOLD or 5; "
                              "0 disables)")
-    parser.add_argument("--breaker-cooldown", type=float, default=None,
-                        help="seconds an open breaker waits before a "
-                             "half-open probe (default "
-                             "$REPRO_BREAKER_COOLDOWN or 1.0)")
     return parser.parse_args(argv)
 
 
-def build_app(args: argparse.Namespace) -> ServeApp:
-    import os
-    fault_spec = combine_specs(args.faults,
-                               os.environ.get("REPRO_FAULTS"))
-    if fault_spec:
-        parse_spec(fault_spec)  # fail fast on typos, before binding
+def build_app(args: argparse.Namespace, settings: Settings,
+              worker: str | None = None,
+              supervisor_state: str | None = None) -> ServeApp:
+    """The app for ``args``; the server-side fault spec is ``--faults``
+    combined with ``settings.faults``."""
+    fault_spec = combine_specs(args.faults, settings.faults)
     return ServeApp(
         shards=args.shards,
         cache_capacity=args.cache_capacity,
@@ -120,12 +117,14 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         persist_dir=args.persist_dir,
         snapshot_path=args.snapshot,
         breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
+        settings=settings,
+        worker=worker,
+        supervisor_state=supervisor_state,
     )
 
 
-async def _amain(args: argparse.Namespace) -> int:
-    app = build_app(args)
+async def _amain(args: argparse.Namespace, settings: Settings) -> int:
+    app = build_app(args, settings)
     if app.snapshot_path:
         if app.snapshot["error"]:
             print(f"snapshot {app.snapshot_path} ignored "
@@ -155,9 +154,18 @@ async def _amain(args: argparse.Namespace) -> int:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
+    try:
+        settings = Settings.from_env()
+        parse_spec(args.faults)
+    except SettingsError as err:
+        print(f"bad setting: {err}", file=sys.stderr)
+        return 2
+    except FaultConfigError as err:
+        print(f"bad fault spec: {err}", file=sys.stderr)
+        return 2
     _raise_nofile_limit()
     try:
-        return asyncio.run(_amain(args))
+        return asyncio.run(_amain(args, settings))
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
         return 0

@@ -10,7 +10,8 @@ Request lifecycle for ``POST /run``:
    error memoization.  Cache hits bypass the circuit
    breaker — serving known-good bytes is always safe.
 3. **Circuit breaker** (:mod:`repro.serve.breaker`) — a per-(tenant,
-   workload) breaker that has seen ``REPRO_BREAKER_THRESHOLD``
+   workload) breaker that has seen ``breaker_threshold`` (the
+   ``--breaker-threshold`` flag, else ``Settings.breaker_threshold``)
    consecutive 5xx outcomes rejects the miss with a ``circuit_open``
    503 (plus ``Retry-After``) until its cooldown admits a half-open
    probe.  Every non-cached outcome settles the breaker.
@@ -53,13 +54,12 @@ from repro.faults import FaultRegistry
 from repro.machine.costs import ALPHA_21164
 from repro.runtime import persist
 from repro.runtime.overhead import DEFAULT_OVERHEAD
-from repro.serve import knobs
 from repro.serve.admission import (
     AdmissionQueue,
     Backpressure,
     QuotaExceeded,
 )
-from repro.serve.breaker import BreakerBoard
+from repro.serve.breaker import BREAKER_COOLDOWN, BreakerBoard
 from repro.serve.cache import ShardedResultCache
 from repro.serve.protocol import (
     BadRequest,
@@ -69,6 +69,7 @@ from repro.serve.protocol import (
     parse_run_request,
     result_payload,
 )
+from repro.settings import Settings
 from repro.workloads import WORKLOADS_BY_NAME
 
 DEFAULT_SHARDS = 8
@@ -95,7 +96,12 @@ _DEGRADATION_KEYS = (
 
 
 class ServeApp:
-    """Routing + request orchestration for the serve daemon."""
+    """Routing + request orchestration for the serve daemon.
+
+    ``settings`` (resolved from the environment when not given) is what
+    every run executes under.  A supervised worker passes its ``worker``
+    id and the supervisor's ``supervisor_state`` file path.
+    """
 
     def __init__(self, *,
                  shards: int = DEFAULT_SHARDS,
@@ -107,8 +113,14 @@ class ServeApp:
                  persist_dir: str | None = None,
                  snapshot_path: str | None = None,
                  breaker_threshold: int | None = None,
-                 breaker_cooldown: float | None = None):
+                 breaker_cooldown: float = BREAKER_COOLDOWN,
+                 settings: Settings | None = None,
+                 worker: str | None = None,
+                 supervisor_state: str | None = None):
         import os
+        self.settings = settings or Settings.from_env()
+        self.worker = worker
+        self.supervisor_state = supervisor_state
         if workers is None:
             workers = min(8, os.cpu_count() or 2)
         self.started = time.time()
@@ -120,8 +132,9 @@ class ServeApp:
         self.snapshot_path = snapshot_path
         self.snapshot = {"loaded": 0, "skipped": 0, "error": None}
         if persist_dir or snapshot_path:
-            self.persist_dir = persist.resolve_persist_dir(persist_dir)
-            persist.activate(self.persist_dir)
+            self.persist_dir = (persist_dir or self.settings.persist_dir
+                                or persist.DEFAULT_PERSIST_DIR)
+            persist.activate(self.persist_dir, self.settings.faults)
             if snapshot_path:
                 outcome = persist.load_snapshot(snapshot_path,
                                                 self.persist_dir)
@@ -145,6 +158,8 @@ class ServeApp:
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve",
         )
+        if breaker_threshold is None:
+            breaker_threshold = self.settings.breaker_threshold
         self.breakers = BreakerBoard(threshold=breaker_threshold,
                                      cooldown=breaker_cooldown)
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
@@ -238,11 +253,13 @@ class ServeApp:
                 or not self.faults.should_fire("serve.respond"):
             return False
         self.respond_drops += 1
-        if knobs.worker_id() is not None:
+        if self.worker is not None:
             import os
             import sys
+
+            from repro.serve.supervisor import EXIT_RESPOND_FAULT
             sys.stderr.flush()
-            os._exit(knobs.EXIT_RESPOND_FAULT)
+            os._exit(EXIT_RESPOND_FAULT)
         return True
 
     # -- POST /run -------------------------------------------------------
@@ -261,7 +278,7 @@ class ServeApp:
     async def _routed(self, request: RunRequest) -> tuple[int, dict]:
         workload = WORKLOADS_BY_NAME[request.workload]
         run_key = memo_key(workload, request.config, ALPHA_21164,
-                           DEFAULT_OVERHEAD, request.verify)
+                           DEFAULT_OVERHEAD, request.verify, self.settings)
         tenant = request.tenant
         self._tenant(tenant)["requests"] += 1
 
@@ -355,7 +372,8 @@ class ServeApp:
         """Worker-thread body: run the workload, cache the payload."""
         workload = WORKLOADS_BY_NAME[request.workload]
         result = run_workload(workload, request.config,
-                              verify=request.verify, backend=BACKEND)
+                              verify=request.verify, backend=BACKEND,
+                              settings=self.settings)
         payload = result_payload(result, BACKEND)
         if not request.no_cache:
             # Insertion happens on the worker thread; the shard's lock
@@ -397,19 +415,18 @@ class ServeApp:
             "degraded_runs": self.degraded_runs,
             "quarantined_contexts":
                 self.degradation["quarantined_contexts"],
-            "worker": knobs.worker_id(),
+            "worker": self.worker,
             "draining": self.draining,
         }
 
-    @staticmethod
-    def _supervisor_stats() -> dict | None:
+    def _supervisor_stats(self) -> dict | None:
         """Supervision counters, when running under a supervisor.
 
         The supervisor rewrites its state file atomically on every
         lifecycle event; any worker can therefore surface fleet-wide
         restart counters on its own ``/stats`` without IPC.
         """
-        path = knobs.supervisor_state_path()
+        path = self.supervisor_state
         if path is None:
             return None
         try:

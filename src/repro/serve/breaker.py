@@ -37,10 +37,8 @@ from __future__ import annotations
 
 import time
 
-from repro.serve.knobs import (
-    resolve_breaker_cooldown,
-    resolve_breaker_threshold,
-)
+#: Seconds an open breaker waits before admitting a half-open probe.
+BREAKER_COOLDOWN = 1.0
 
 CLOSED = "closed"
 OPEN = "open"
@@ -118,19 +116,15 @@ class CircuitBreaker:
 class BreakerBoard:
     """All breakers for one daemon, keyed ``(tenant, workload)``.
 
-    ``threshold=0`` (the resolved default of ``REPRO_BREAKER_THRESHOLD``
-    when explicitly zeroed) disables the board: :meth:`acquire` always
-    admits and :meth:`settle` is a no-op, so the request path has no
-    breaker overhead at all.
+    ``threshold=0`` (``Settings.breaker_threshold`` explicitly zeroed)
+    disables the board: :meth:`acquire` always admits and :meth:`settle`
+    is a no-op, so the request path has no breaker overhead at all.
     """
 
-    def __init__(self, threshold: int | None = None,
-                 cooldown: float | None = None, *,
-                 clock=time.monotonic):
-        self.threshold = resolve_breaker_threshold() \
-            if threshold is None else threshold
-        self.cooldown = resolve_breaker_cooldown() \
-            if cooldown is None else cooldown
+    def __init__(self, threshold: int, cooldown: float = BREAKER_COOLDOWN,
+                 *, clock=time.monotonic):
+        self.threshold = threshold
+        self.cooldown = cooldown
         self.enabled = self.threshold > 0
         self._clock = clock
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}

@@ -441,8 +441,9 @@ class SpawnedDaemon:
     def __init__(self, argv: list[str]):
         from repro.serve.__main__ import _parse_args, build_app
         from repro.serve.http import ServeDaemon
+        from repro.settings import Settings
         args = _parse_args(argv)
-        self.app = build_app(args)
+        self.app = build_app(args, Settings.from_env())
         self._daemon = ServeDaemon(self.app, args.host, args.port)
         self.host = args.host
         self.port = 0

@@ -21,15 +21,18 @@ kernel load-balances connections), and then babysits them:
   workers are gone the supervisor optionally snapshots the shared
   store (``--snapshot-out``) so the next start is warm, then exits 0.
 * **State file** — every lifecycle event atomically rewrites a JSON
-  state file (``--state-file``; also exported to workers via
-  ``REPRO_SUPERVISOR_STATE`` so ``GET /stats`` can surface supervision
-  counters).  The chaos harness reads it to learn the bound port and
-  the live worker pids it is allowed to kill.
+  state file (``--state-file``; its path is handed to every worker so
+  ``GET /stats`` can surface supervision counters).  The chaos harness
+  reads it to learn the bound port and the live worker pids it is
+  allowed to kill.
 
-Workers are forked, not exec'd: the parent never starts an event loop
-(forking after asyncio starts is unsafe), and each child gets a fresh
-``asyncio.run`` of its own.  A worker that sees its heartbeat pipe
-closed (the supervisor died) exits rather than lingering as an orphan.
+The supervisor resolves its :class:`~repro.settings.Settings` once,
+before it binds or forks (a malformed value exits 2), and hands them to
+every worker as an argument.  Workers are forked, not exec'd: the
+parent never starts an event loop (forking after asyncio starts is
+unsafe), and each child gets a fresh ``asyncio.run`` of its own.  A
+worker that sees its heartbeat pipe closed (the supervisor died) exits
+rather than lingering as an orphan.
 """
 
 from __future__ import annotations
@@ -43,7 +46,15 @@ import socket
 import sys
 import time
 
-from repro.serve import knobs
+from repro.settings import Settings, SettingsError
+
+#: Exit code of a worker killed by the ``serve.respond`` fault point,
+#: so the supervisor can tell an injected crash from a real one.
+EXIT_RESPOND_FAULT = 17
+
+#: Seconds a draining worker (or the supervisor) waits for in-flight
+#: work before forcing shutdown.
+DRAIN_TIMEOUT = 30.0
 
 #: Respawns after which the supervisor gives up and shuts down — a
 #: backstop against crash loops, far above anything the chaos harness
@@ -95,7 +106,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="warm-start every worker from this "
                              "snapshot")
     parser.add_argument("--breaker-threshold", type=int, default=None)
-    parser.add_argument("--breaker-cooldown", type=float, default=None)
     return parser.parse_args(argv)
 
 
@@ -142,8 +152,9 @@ def _heartbeat_loop(fd: int, faults, interval: float) -> None:
         time.sleep(interval)
 
 
-def _worker_main(args: argparse.Namespace, sock: socket.socket,
-                 heartbeat_fd: int, worker: int) -> None:
+def _worker_main(args: argparse.Namespace, settings: Settings,
+                 sock: socket.socket, heartbeat_fd: int, worker: int,
+                 state_path: str) -> None:
     """Forked child body: serve on the shared socket until SIGTERM.
 
     Never returns — exits via ``os._exit`` so the child cannot fall
@@ -152,7 +163,6 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
     import asyncio
     import threading
 
-    os.environ[knobs.ENV_WORKER_ID] = str(worker)
     # A drain can reach a worker that is still starting up, before its
     # event loop owns SIGTERM: remember the request and honour it once
     # the loop is up, so the worker still drains and exits cleanly.
@@ -165,11 +175,11 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
         from repro.serve.__main__ import build_app
         from repro.serve.http import ServeDaemon
 
-        app = build_app(args)
+        app = build_app(args, settings, worker=str(worker),
+                        supervisor_state=state_path)
         beat = threading.Thread(
             target=_heartbeat_loop,
-            args=(heartbeat_fd, app.faults,
-                  knobs.resolve_heartbeat_interval()),
+            args=(heartbeat_fd, app.faults, settings.heartbeat_interval),
             daemon=True)
         beat.start()
 
@@ -185,7 +195,7 @@ def _worker_main(args: argparse.Namespace, sock: socket.socket,
                   file=sys.stderr, flush=True)
             await stop.wait()
             app.draining = True
-            completed = await daemon.drain(knobs.resolve_drain_timeout())
+            completed = await daemon.drain(DRAIN_TIMEOUT)
             print(f"[worker {worker}] drained "
                   f"(completed={completed})", file=sys.stderr,
                   flush=True)
@@ -217,13 +227,12 @@ class WorkerRecord:
 class Supervisor:
     """Fork/watch/recycle loop around N serve workers."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, settings: Settings):
         self.args = args
-        self.procs = args.procs if args.procs is not None \
-            else knobs.resolve_serve_procs()
+        self.settings = settings
+        self.procs = settings.serve_procs
         self.max_restarts = max(0, args.max_restarts)
-        self.heartbeat_timeout = knobs.resolve_heartbeat_timeout()
-        self.drain_timeout = knobs.resolve_drain_timeout()
+        self.heartbeat_timeout = settings.heartbeat_timeout
         self.sock: socket.socket | None = None
         self.port = args.port
         self.workers: dict[int, WorkerRecord] = {}   # pid -> record
@@ -234,8 +243,8 @@ class Supervisor:
         self.respond_fault_exits = 0
         self.hang_kills = 0
         self.clean_exits = 0
-        self.state_path = args.state_file or os.path.join(
-            args.persist_dir or ".", "supervisor.json")
+        self.state_path = os.path.abspath(args.state_file or os.path.join(
+            args.persist_dir or ".", "supervisor.json"))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -263,7 +272,8 @@ class Supervisor:
                     os.close(record.pipe_fd)
                 except OSError:
                     pass
-            _worker_main(self.args, self.sock, write_fd, worker)
+            _worker_main(self.args, self.settings, self.sock, write_fd,
+                         worker, self.state_path)
             os._exit(1)  # unreachable
         os.close(write_fd)
         os.set_blocking(read_fd, False)
@@ -340,7 +350,7 @@ class Supervisor:
             changed = True
             self._retire(record)
             if os.WIFEXITED(status) \
-                    and os.WEXITSTATUS(status) == knobs.EXIT_RESPOND_FAULT:
+                    and os.WEXITSTATUS(status) == EXIT_RESPOND_FAULT:
                 self.respond_fault_exits += 1
                 kind = "respond-fault exit"
             elif os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
@@ -410,7 +420,7 @@ class Supervisor:
                 os.kill(record.pid, signal.SIGTERM)
             except ProcessLookupError:
                 pass
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while self.workers and time.monotonic() < deadline:
             self._drain_pipes(_TICK)
             self._reap()
@@ -439,8 +449,6 @@ class Supervisor:
 
     def run(self) -> int:
         self.bind()
-        os.environ[knobs.ENV_SUPERVISOR_STATE] = \
-            os.path.abspath(self.state_path)
         if self.args.persist_dir:
             os.makedirs(self.args.persist_dir, exist_ok=True)
         self.publish()
@@ -476,19 +484,23 @@ def main(argv: list[str]) -> int:
     if args.snapshot_out and not args.persist_dir:
         print("--snapshot-out requires --persist-dir", file=sys.stderr)
         return 2
-    # Fail fast on a bad fault spec: a typo that only surfaced inside
-    # the workers would crash-loop all the way to the restart cap.
+    # Fail fast on a bad setting or fault spec: a typo that only
+    # surfaced inside the workers would crash-loop all the way to the
+    # restart cap.
     from repro.errors import FaultConfigError
-    from repro.faults import combine_specs, parse_spec
+    from repro.faults import parse_spec
     try:
-        parse_spec(combine_specs(args.faults,
-                                 os.environ.get("REPRO_FAULTS")))
+        settings = Settings.from_env(serve_procs=args.procs)
+        parse_spec(args.faults)
+    except SettingsError as err:
+        print(f"bad setting: {err}", file=sys.stderr)
+        return 2
     except FaultConfigError as err:
         print(f"bad fault spec: {err}", file=sys.stderr)
         return 2
     from repro.serve.__main__ import _raise_nofile_limit
     _raise_nofile_limit()
-    return Supervisor(args).run()
+    return Supervisor(args, settings).run()
 
 
 if __name__ == "__main__":

@@ -27,26 +27,20 @@ from __future__ import annotations
 
 import sys
 
-from repro.evalharness.runner import (
-    resolve_backend,
-    resolve_codegen_mode,
-    run_workload,
-)
+from repro.evalharness.runner import run_workload
 from repro.ir import format_function
+from repro.settings import Settings, SettingsError
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 
-def report(name: str, dump: bool, backend: str | None = None,
-           codegen_mode: str | None = None) -> None:
+def report(name: str, dump: bool, settings: Settings) -> None:
     workload = get_workload(name)
-    result = run_workload(workload, backend=backend,
-                          codegen_mode=codegen_mode)
+    result = run_workload(workload, settings=settings)
     print(f"\n=== {workload.name} ({workload.kind}): "
           f"{workload.description} ===")
     print(f"static vars: {workload.static_vars} = "
           f"{workload.static_values}")
-    if (resolve_backend(backend) == "pycodegen"
-            and resolve_codegen_mode(codegen_mode) == "fast"):
+    if settings.backend == "pycodegen" and settings.codegen_mode == "fast":
         print("NOTE: fast codegen mode drops cycle accounting; the "
               "cycle-derived figures below are not meaningful "
               "(outputs are still verified)")
@@ -141,11 +135,11 @@ def report(name: str, dump: bool, backend: str | None = None,
                 print(format_function(code.function))
 
 
-def snapshot(action: str, path: str, persist_dir: str | None) -> int:
+def snapshot(action: str, path: str, persist_dir: str) -> int:
     """``snapshot save|load PATH``: store <-> snapshot-file hand-off."""
     from repro.runtime import persist
 
-    store_dir = persist.resolve_persist_dir(persist_dir)
+    store_dir = persist_dir or persist.DEFAULT_PERSIST_DIR
     if action == "save":
         outcome = persist.save_snapshot(store_dir, path)
         if not outcome.ok:
@@ -205,13 +199,20 @@ def main(argv: list[str]) -> int:
         elif arg.startswith("--") and arg not in ("--dump", "--compare"):
             print(f"unknown option {arg!r}", file=sys.stderr)
             return 2
+    try:
+        settings = Settings.from_env(backend=backend,
+                                     codegen_mode=codegen_mode,
+                                     persist_dir=persist_dir)
+    except SettingsError as err:
+        print(f"bad setting: {err}", file=sys.stderr)
+        return 2
     names = [a for a in argv if not a.startswith("--")]
     if names and names[0] == "snapshot":
         if len(names) != 3 or names[1] not in ("save", "load"):
             print("usage: python -m repro.workloads snapshot "
                   "save|load PATH [--persist-dir=DIR]", file=sys.stderr)
             return 2
-        return snapshot(names[1], names[2], persist_dir)
+        return snapshot(names[1], names[2], settings.persist_dir)
     if names and names[0] == "bench":
         if len(names) > 1:
             print("bench takes no workload names", file=sys.stderr)
@@ -225,7 +226,7 @@ def main(argv: list[str]) -> int:
         names = [w.name for w in ALL_WORKLOADS]
     for name in names:
         try:
-            report(name, dump, backend, codegen_mode)
+            report(name, dump, settings)
         except KeyError as error:
             print(error.args[0], file=sys.stderr)
             return 2

@@ -8,15 +8,12 @@ import pytest
 
 from repro.config import ALL_ON
 from repro.errors import SpecializationError
-from repro.evalharness.memo import Memoizer, memo_key, resolve_memo_dir
-from repro.evalharness.parallel import (
-    resolve_jobs,
-    run_ablations,
-    run_configs,
-)
-from repro.evalharness.runner import resolve_backend, run_workload
+from repro.evalharness.memo import Memoizer, memo_key
+from repro.evalharness.parallel import run_ablations, run_configs
+from repro.evalharness.runner import run_workload
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
+from repro.settings import Settings
 from repro.workloads import WORKLOADS_BY_NAME
 
 DOT = WORKLOADS_BY_NAME["dotproduct"]
@@ -85,24 +82,24 @@ class TestMemoizer:
         with pytest.raises(SpecializationError):
             run_workload(mipsi, config, memo=memo)
 
-    def test_memo_dir_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMO_DIR", raising=False)
-        assert resolve_memo_dir(None) == ".repro_memo"
-        assert resolve_memo_dir("/x/y") == "/x/y"
-        monkeypatch.setenv("REPRO_MEMO_DIR", "/from/env")
-        assert resolve_memo_dir(None) == "/from/env"
+    def test_memo_dir_resolution(self):
+        assert Settings.from_env({}).memo_dir == ".repro_memo"
+        assert Settings.from_env({}, memo_dir="/x/y").memo_dir == "/x/y"
+        env = {"REPRO_MEMO_DIR": "/from/env"}
+        assert Settings.from_env(env).memo_dir == "/from/env"
+        assert Settings.from_env(env, memo_dir="/x/y").memo_dir == "/x/y"
 
 
 class TestParallel:
-    def test_resolve_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) >= 1
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs(None) == 4
-        with pytest.raises(ValueError):
-            resolve_jobs(-2)
+    def test_resolve_jobs(self):
+        assert Settings.from_env({}).jobs == 1
+        assert Settings.from_env({}, jobs=3).jobs == 3
+        assert Settings.from_env({}, jobs=0).jobs == 0   # one per CPU
+        assert Settings.from_env({"REPRO_JOBS": "4"}).jobs == 4
+        with pytest.raises(ValueError, match="jobs"):
+            Settings.from_env({}, jobs=-2)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            Settings.from_env({"REPRO_JOBS": "abc"})
 
     def test_pool_matches_serial(self, tmp_path):
         tasks = [(DOT.name, ALL_ON), (BINARY.name, ALL_ON)]
@@ -129,11 +126,11 @@ class TestParallel:
 
 
 class TestBackendResolution:
-    def test_default_is_threaded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "threaded"
-        assert resolve_backend("reference") == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert resolve_backend(None) == "reference"
+    def test_default_is_threaded(self):
+        assert Settings.from_env({}).backend == "threaded"
+        assert Settings.from_env({}, backend="reference").backend == \
+            "reference"
+        assert Settings.from_env({"REPRO_BACKEND": "reference"}
+                                 ).backend == "reference"
         with pytest.raises(ValueError):
-            resolve_backend("jit")
+            Settings.from_env({}, backend="jit")

@@ -31,6 +31,7 @@ from repro.faults import (
 )
 from repro.machine import ALPHA_21164
 from repro.runtime.overhead import DEFAULT_OVERHEAD
+from repro.settings import Settings
 from repro.workloads import CHEBYSHEV, DOTPRODUCT, MIPSI
 
 
@@ -139,20 +140,21 @@ class TestResolution:
     def test_env_spec_combines_with_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "cache.evict:once")
         cfg = _config(faults="cache.corrupt:once")
-        assert resolve_fault_spec(cfg) == \
+        assert resolve_fault_spec(cfg, Settings.from_env()) == \
             "cache.corrupt:once;cache.evict:once"
+        assert resolve_fault_spec(cfg) == "cache.corrupt:once"
 
-    def test_degrade_auto_on_with_faults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        monkeypatch.delenv("REPRO_DEGRADE", raising=False)
-        assert not resolve_degrade(ALL_ON)
-        assert resolve_degrade(_config(faults="cache.corrupt:once"))
-        assert resolve_degrade(_config(degrade=True))
-        monkeypatch.setenv("REPRO_DEGRADE", "1")
-        assert resolve_degrade(ALL_ON)
+    def test_degrade_auto_on_with_faults(self):
+        def degrade(config, **env):
+            return resolve_degrade(config, Settings.from_env(env))
+
+        assert not degrade(ALL_ON)
+        assert degrade(_config(faults="cache.corrupt:once"))
+        assert degrade(_config(degrade=True))
+        assert degrade(ALL_ON, REPRO_DEGRADE="1")
         # Explicit off wins over armed faults.
-        monkeypatch.setenv("REPRO_DEGRADE", "0")
-        assert not resolve_degrade(_config(faults="cache.corrupt:once"))
+        assert not degrade(_config(faults="cache.corrupt:once"),
+                           REPRO_DEGRADE="0")
 
 
 # ----------------------------------------------------------------------

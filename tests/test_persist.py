@@ -17,34 +17,51 @@ import threading
 import pytest
 
 from repro.config import ALL_ON
+from repro.evalharness.memo import memo_key
 from repro.evalharness.runner import run_workload
 from repro.evalharness.warmstart import run_fingerprints
+from repro.machine.costs import ALPHA_21164
 from repro.runtime import persist
+from repro.runtime.overhead import DEFAULT_OVERHEAD
+from repro.serve.protocol import run_fingerprint
+from repro.settings import Settings
 from repro.workloads import WORKLOADS_BY_NAME
 
-#: Every ``REPRO_*`` environment knob, a non-default value for it (None:
-#: a fresh directory), and whether it can change a run's result bytes —
-#: exactly the knobs the memo key must depend on.
-_ENV_KNOBS = {
-    "REPRO_FAULTS": ("specializer.entry:once", True),
-    "REPRO_DEGRADE": ("1", True),
-    "REPRO_CODEGEN_MODE": ("fast", True),
-    "REPRO_PYCODEGEN_SOURCE_LIMIT": ("10", True),
-    "REPRO_TASK_TIMEOUT": ("7", True),
-    "REPRO_PERSIST_DIR": (None, True),
-    "REPRO_BACKEND": ("reference", False),
-    "REPRO_PYCODEGEN_THRESHOLD": ("0", False),
-    "REPRO_JOBS": ("3", False),
-    "REPRO_MEMO_DIR": ("elsewhere", False),
-    "REPRO_BREAKER_THRESHOLD": ("9", False),
-    "REPRO_BREAKER_COOLDOWN": ("2.5", False),
-    "REPRO_SERVE_PROCS": ("7", False),
-    "REPRO_HEARTBEAT_INTERVAL": ("0.1", False),
-    "REPRO_HEARTBEAT_TIMEOUT": ("9", False),
-    "REPRO_DRAIN_TIMEOUT": ("3", False),
-    "REPRO_SERVE_WORKER": ("1", False),
-    "REPRO_SUPERVISOR_STATE": ("state.json", False),
-}
+#: Every knob, each tagged ``result_affecting`` or not.
+_KNOBS = dataclasses.fields(Settings)
+
+#: Knobs deleted from the package; a leftover export must be inert.
+_RETIRED = ("REPRO_BREAKER_COOLDOWN", "REPRO_DRAIN_TIMEOUT",
+            "REPRO_PYCODEGEN_SOURCE_LIMIT", "REPRO_PYCODEGEN_THRESHOLD",
+            "REPRO_SERVE_WORKER", "REPRO_SUPERVISOR_STATE")
+
+
+def _env_id(knob) -> str:
+    return knob if isinstance(knob, str) else knob.metadata["env"]
+
+
+def _flipped(knob, tmp_path):
+    """A valid value for ``knob`` other than its default, derived from
+    its type and parser (a fresh directory for the paths)."""
+    if knob.type == "int":
+        return knob.default + 3
+    if knob.type == "float":
+        return knob.default + 1.5
+    if knob.type == "bool | None":
+        return True
+    for candidate in (str(tmp_path / knob.name), "reference", "fast",
+                      "specializer.entry:once"):
+        try:
+            value = knob.metadata["parse"](candidate)
+        except ValueError:
+            continue
+        if value != knob.default:
+            return value
+    raise AssertionError(f"no non-default value for {knob.name}")
+
+
+#: name -> run_fingerprint of the workload under default settings.
+_BASE_FINGERPRINTS: dict[str, str] = {}
 
 
 @pytest.fixture(autouse=True)
@@ -348,51 +365,63 @@ class TestStoreApi:
         second = store.get("entry", digest)
         assert second == {"mutable": [1, 2]}
 
-    def test_resolve_persist_dir_precedence(self, monkeypatch):
-        monkeypatch.delenv(persist.ENV_PERSIST_DIR, raising=False)
-        assert persist.resolve_persist_dir("explicit") == "explicit"
-        assert persist.resolve_persist_dir() == \
-            persist.DEFAULT_PERSIST_DIR
-        monkeypatch.setenv(persist.ENV_PERSIST_DIR, "/from/env")
-        assert persist.resolve_persist_dir() == "/from/env"
-        assert persist.resolve_persist_dir("explicit") == "explicit"
+    def test_resolve_persist_dir_precedence(self, tmp_path):
+        """Flag > environment > off; a set directory activates the
+        store on the first run."""
+        assert Settings.from_env({}).persist_dir == ""
+        env = {"REPRO_PERSIST_DIR": "/from/env"}
+        assert Settings.from_env(env).persist_dir == "/from/env"
+        assert Settings.from_env(env, persist_dir="explicit"
+                                 ).persist_dir == "explicit"
+        run_workload(WORKLOADS_BY_NAME["binary"],
+                     settings=Settings(persist_dir=str(tmp_path)))
+        assert persist.active_store().directory == str(tmp_path)
+        assert _records(tmp_path)
 
-    @pytest.mark.parametrize("knob", sorted(_ENV_KNOBS))
-    def test_memo_key_changes_iff_knob_affects_results(
-            self, monkeypatch, tmp_path, knob):
-        """Flip one environment knob: the memo key must change exactly
-        when the knob can change a run's result bytes.  Keying a knob
-        that cannot (breaker policy, worker counts, the backend) only
-        causes needless misses; missing one that can serves wrong
-        bytes."""
-        from repro.evalharness.memo import memo_key
-        from repro.machine.costs import ALPHA_21164
-        from repro.machine.pycodegen import reset_source_limit_cache
-        from repro.runtime.overhead import DEFAULT_OVERHEAD
+    @pytest.mark.parametrize("knob", [*_KNOBS, *_RETIRED], ids=_env_id)
+    def test_memo_key_changes_iff_knob_affects_results(self, tmp_path,
+                                                        knob):
+        """Flip one knob: the memo key must change exactly when the
+        field is tagged ``result_affecting``.  Keying a knob that cannot
+        change a run's bytes only causes needless misses; missing one
+        that can serves wrong bytes.  A retired knob left in the
+        environment changes nothing at all."""
         workload = WORKLOADS_BY_NAME["binary"]
+        base = Settings()
+        if isinstance(knob, str):
+            flipped = Settings.from_env({knob: "10"})
+            affects = False
+        else:
+            flipped = base.override(
+                **{knob.name: _flipped(knob, tmp_path)})
+            affects = knob.metadata["result_affecting"]
 
-        def key():
-            # The store dir and source limit resolve once per process.
-            persist.reset()
-            reset_source_limit_cache()
+        def key(settings):
             return memo_key(workload, ALL_ON, ALPHA_21164,
-                            DEFAULT_OVERHEAD)
+                            DEFAULT_OVERHEAD, settings=settings)
 
-        for name in _ENV_KNOBS:
-            monkeypatch.delenv(name, raising=False)
-        value, affects_results = _ENV_KNOBS[knob]
-        try:
-            base = key()
-            monkeypatch.setenv(knob, value or str(tmp_path))
-            assert (key() != base) == affects_results
-            monkeypatch.delenv(knob)
-            assert key() == base
-        finally:
-            reset_source_limit_cache()
+        assert (key(flipped) != key(base)) == affects
+
+    @pytest.mark.parametrize("knob", [
+        knob for knob in _KNOBS if not knob.metadata["result_affecting"]
+    ], ids=_env_id)
+    @pytest.mark.parametrize("name", ["binary", "dinero"])
+    def test_untagged_knob_leaves_run_unchanged(self, tmp_path, name,
+                                                knob):
+        """The other half of the tag: a knob left out of the memo key
+        must not move a single measured byte of a run."""
+        workload = WORKLOADS_BY_NAME[name]
+        if name not in _BASE_FINGERPRINTS:
+            _BASE_FINGERPRINTS[name] = run_fingerprint(
+                run_workload(workload, settings=Settings()))
+        flipped = Settings().override(
+            **{knob.name: _flipped(knob, tmp_path)})
+        result = run_workload(workload, settings=flipped)
+        assert run_fingerprint(result) == _BASE_FINGERPRINTS[name]
 
     def test_knob_table_names_every_env_knob(self):
-        """Every ``REPRO_*`` knob the package reads is classified above,
-        so a new knob cannot slip past the key-sensitivity test."""
+        """Every ``REPRO_*`` name in the package is some ``Settings``
+        field's environment variable, so no knob can bypass the tags."""
         root = os.path.join(os.path.dirname(persist.__file__), "..")
         found = set()
         for directory, _dirs, files in os.walk(root):
@@ -402,7 +431,7 @@ class TestStoreApi:
                               encoding="utf-8") as handle:
                         found.update(re.findall(r"REPRO_[A-Z_]+\b",
                                                 handle.read()))
-        assert found == set(_ENV_KNOBS)
+        assert found <= {_env_id(knob) for knob in _KNOBS}
 
 
 class TestCrashConsistency:

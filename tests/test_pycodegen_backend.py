@@ -11,38 +11,24 @@ import pytest
 from repro.config import ALL_OFF, ALL_ON
 from repro.errors import TrapError
 from repro.evalharness.memo import Memoizer
-from repro.evalharness.runner import (
-    resolve_backend,
-    resolve_codegen_mode,
-    run_workload,
-)
+from repro.evalharness.runner import run_workload
 from repro.ir import BasicBlock, FunctionBuilder, Module, Op
 from repro.ir.instructions import Imm, Move, Return
-from repro.machine import ALPHA_21164, Machine
+from repro.machine import ALPHA_21164, Machine, pycodegen
 from repro.machine.pycodegen import (
     CODEGEN_MODES,
     EAGER_FOOTPRINT,
     CompileFault,
     PyCodegenBackend,
-    reset_source_limit_cache,
-    resolve_source_limit,
 )
 from repro.runtime.fallback import BACKEND_LADDER
+from repro.settings import Settings
 from repro.workloads import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
 from tests.test_threaded_backend import _run_under, _stats_dict
 
 #: Every workload small enough for the full-corpus identity sweep.
 CORPUS = [w.name for w in ALL_WORKLOADS]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_source_limit_cache():
-    """The source limit resolves once per process; tests that flip
-    ``REPRO_PYCODEGEN_SOURCE_LIMIT`` need the memo dropped around them."""
-    reset_source_limit_cache()
-    yield
-    reset_source_limit_cache()
 
 
 class TestCountedByteIdentity:
@@ -109,18 +95,18 @@ class TestFastMode:
 class TestResolution:
     def test_backends_accepted(self):
         for backend in ("reference", "threaded", "pycodegen"):
-            assert resolve_backend(backend) == backend
+            assert Settings().override(backend=backend).backend == backend
         with pytest.raises(ValueError):
-            resolve_backend("jit")
+            Settings().override(backend="jit")
 
-    def test_codegen_mode_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN_MODE", raising=False)
-        assert resolve_codegen_mode(None) == "counted"
-        monkeypatch.setenv("REPRO_CODEGEN_MODE", "fast")
-        assert resolve_codegen_mode(None) == "fast"
-        assert resolve_codegen_mode("counted") == "counted"
-        with pytest.raises(ValueError):
-            resolve_codegen_mode("warp")
+    def test_codegen_mode_default_and_env(self):
+        assert Settings.from_env({}).codegen_mode == "counted"
+        env = {"REPRO_CODEGEN_MODE": "fast"}
+        assert Settings.from_env(env).codegen_mode == "fast"
+        assert Settings.from_env(env, codegen_mode="counted"
+                                 ).codegen_mode == "counted"
+        with pytest.raises(ValueError, match="REPRO_CODEGEN_MODE"):
+            Settings.from_env({"REPRO_CODEGEN_MODE": "warp"})
         assert CODEGEN_MODES == ("counted", "fast")
 
     def test_machine_rejects_unknown_mode(self):
@@ -222,16 +208,15 @@ class TestDegradationLadder:
         """A source limit below any emitted function forces the ladder:
         the backend refuses every compile (counting the refusals) and
         the run completes on the lower rungs, stats unchanged."""
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "10")
         workload = WORKLOADS_BY_NAME["dotproduct"]
-        result = run_workload(workload, backend="pycodegen")
-        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT")
         clean = run_workload(workload, backend="reference")
+        monkeypatch.setattr(pycodegen, "SOURCE_LIMIT", 10)
+        result = run_workload(workload, backend="pycodegen")
         assert result.degraded_compilations > 0
         assert result.dynamic_total_cycles == clean.dynamic_total_cycles
 
     def test_oversize_refusal_counter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "10")
+        monkeypatch.setattr(pycodegen, "SOURCE_LIMIT", 10)
         b = FunctionBuilder("f", ())
         b.move("x", 7)
         b.ret("x")
@@ -246,45 +231,16 @@ class TestDegradationLadder:
             backend._compile(mod.functions["f"], 0.0, 1.0, False)
 
 
-class TestSourceLimitResolution:
-    def test_resolves_once_per_process(self, monkeypatch):
-        """The env knob is read exactly once; later changes are invisible
-        until the test hook drops the memo."""
-        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT",
-                           raising=False)
-        reset_source_limit_cache()
-        from repro.machine.pycodegen import DEFAULT_SOURCE_LIMIT
-        assert resolve_source_limit() == DEFAULT_SOURCE_LIMIT
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "123")
-        assert resolve_source_limit() == DEFAULT_SOURCE_LIMIT
-        reset_source_limit_cache()
-        assert resolve_source_limit() == 123
-
-    def test_caller_default_bypasses_memo(self, monkeypatch):
-        """A non-default fallback must not read from — or poison — the
-        process-wide memo."""
-        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT",
-                           raising=False)
-        reset_source_limit_cache()
-        assert resolve_source_limit(500) == 500
-        monkeypatch.setenv("REPRO_PYCODEGEN_SOURCE_LIMIT", "77")
-        assert resolve_source_limit(500) == 77
-        monkeypatch.delenv("REPRO_PYCODEGEN_SOURCE_LIMIT")
-        from repro.machine.pycodegen import DEFAULT_SOURCE_LIMIT
-        assert resolve_source_limit() == DEFAULT_SOURCE_LIMIT
-
-
 class TestTieredCompilation:
     def test_large_regions_start_on_threaded_tier(self, monkeypatch):
         """A region bigger than EAGER_FOOTPRINT must not pay compile()
         until it proves hot; the cold entries run on the threaded tier
         with identical stats (the corpus identity tests above cover the
         numbers — here we check the policy knob actually gates)."""
-        monkeypatch.setenv("REPRO_PYCODEGEN_THRESHOLD", "0")
         workload = WORKLOADS_BY_NAME["romberg"]
-        eager = _run_under(workload, ALL_ON, "pycodegen")
-        monkeypatch.delenv("REPRO_PYCODEGEN_THRESHOLD")
         tiered = _run_under(workload, ALL_ON, "pycodegen")
+        monkeypatch.setattr(pycodegen, "COMPILE_THRESHOLD", 0)
+        eager = _run_under(workload, ALL_ON, "pycodegen")
         assert eager == tiered
         assert EAGER_FOOTPRINT > 0
 

@@ -787,7 +787,7 @@ class TestEchoAndRespondFault:
 
     def test_drop_response_cuts_connection_unsupervised(self):
         async def go():
-            # Unsupervised (no REPRO_SERVE_WORKER): the hook reports
+            # Unsupervised (no worker id): the hook reports
             # True (http layer cuts the connection) instead of exiting.
             app = _app(fault_spec="serve.respond:once")
             try:
