@@ -80,34 +80,23 @@ class OptConfig:
     #: failures; further dispatches run the unspecialized fallback
     #: directly (circuit breaker).
     quarantine_after: int = 3
-    #: Codegen-backend mode: ``"counted"`` (stats byte-identical to the
-    #: reference interpreter) or ``"fast"`` (no cycle accounting).
-    #: Empty means ``Settings.codegen_mode`` (``REPRO_CODEGEN_MODE``,
-    #: default ``counted``).  Only meaningful with ``backend="pycodegen"``.
-    codegen_mode: str = ""
     #: DYC210 size budget (characters) for a region's emitted Python
     #: source; 0 disables the lint.
     codegen_source_budget: int = 0
 
     def without(self, *names: str) -> "OptConfig":
-        """A copy with the named optimizations disabled (for ablations)."""
-        valid = {f.name for f in dataclasses.fields(self)}
+        """A copy with the named optimizations disabled (for ablations);
+        only :data:`TABLE5_ABLATIONS` switches can be named."""
         for name in names:
-            if name not in valid:
+            if name not in TABLE5_ABLATIONS:
                 raise ValueError(f"unknown optimization {name!r}")
         return dataclasses.replace(self, **{name: False for name in names})
 
     def enabled_names(self) -> tuple[str, ...]:
-        """Names of the enabled optimization switches."""
-        non_opt_fields = (
-            "check_annotations", "lint", "faults", "degrade",
-            "cache_capacity", "specialize_budget", "quarantine_after",
-            "codegen_mode", "codegen_source_budget",
-        )
-        return tuple(
-            f.name for f in dataclasses.fields(self)
-            if f.name not in non_opt_fields and getattr(self, f.name)
-        )
+        """Names of the enabled optimization switches, in Table 5
+        order."""
+        return tuple(name for name in TABLE5_ABLATIONS
+                     if getattr(self, name))
 
 
 #: All optimizations on — the paper's "normal configuration" (§4.4).

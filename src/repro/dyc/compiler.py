@@ -51,7 +51,6 @@ class CompiledProgram:
                      tracked=frozenset(),
                      step_limit: int = 500_000_000,
                      backend: str = "reference",
-                     codegen_mode: str = "counted",
                      settings=None):
         """A machine + runtime pair ready to execute this program;
         ``settings`` adds its fault spec and degrade switch to the
@@ -71,7 +70,6 @@ class CompiledProgram:
             tracked=tracked,
             step_limit=step_limit,
             backend=backend,
-            codegen_mode=codegen_mode,
         )
         return machine, runtime
 

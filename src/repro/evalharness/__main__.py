@@ -14,8 +14,6 @@ tuple; a malformed value exits 2 before any run starts::
     --backend {reference,threaded,pycodegen}
                                      execution backend (default: threaded,
                                      or $REPRO_BACKEND)
-    --codegen-mode {counted,fast}    pycodegen mode (default: counted,
-                                     or $REPRO_CODEGEN_MODE)
     --jobs N                         fan runs out over N worker processes
                                      (0 = one per CPU; default $REPRO_JOBS
                                      or serial)
@@ -63,7 +61,7 @@ from repro.evalharness.tables import (
     render_table,
     run_all,
 )
-from repro.machine import BACKENDS, CODEGEN_MODES
+from repro.machine import BACKENDS
 from repro.settings import Settings, SettingsError
 from repro.workloads import APPLICATIONS
 
@@ -110,10 +108,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="execution backend (default: $REPRO_BACKEND "
                              "or threaded)")
-    parser.add_argument("--codegen-mode", choices=CODEGEN_MODES,
-                        default=None,
-                        help="pycodegen mode (default: "
-                             "$REPRO_CODEGEN_MODE or counted)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (0 = one per CPU; "
                              "default: $REPRO_JOBS or serial)")
@@ -175,7 +169,7 @@ def _bench(args: argparse.Namespace) -> int:
     print(f"report written to {args.output}")
     failed = False
     if not report["checksums_match"]:
-        print("ERROR: counted execution statistics diverged "
+        print("ERROR: execution statistics diverged "
               "(stats_checksum mismatch)", file=sys.stderr)
         failed = True
     if not report["results_match"]:
@@ -242,8 +236,7 @@ def _warmstart(args: argparse.Namespace, settings: Settings) -> int:
 
 def _settings(args: argparse.Namespace) -> Settings:
     return Settings.from_env(
-        backend=args.backend, codegen_mode=args.codegen_mode,
-        jobs=args.jobs, memo_dir=args.memo_dir,
+        backend=args.backend, jobs=args.jobs, memo_dir=args.memo_dir,
         persist_dir=args.persist_dir, faults=args.faults,
         degrade=True if args.degrade else None,
         task_timeout=args.task_timeout,

@@ -5,10 +5,10 @@ dynamic executions under each benchmark column, sharing one compiled
 program per workload across columns so only *execution* time is
 compared, and writes ``BENCH_interp.json`` (schema 2) with per-workload
 and aggregate wall-clock seconds, per-column speedup factors over the
-reference interpreter, a geometric-mean summary, and a SHA-256 checksum
-over each counted column's full execution statistics.  A checksum
-mismatch means the backends diverged — the CLI (and CI) treat that as a
-hard failure.
+reference interpreter, a geometric-mean summary, and SHA-256 checksums
+over each column's full execution statistics and program results.  A
+checksum mismatch means the backends diverged — the CLI (and CI) treat
+that as a hard failure.
 
 The columns are:
 
@@ -17,18 +17,13 @@ The columns are:
 ``threaded``
     The direct-threaded closure backend.
 ``pycodegen_counted``
-    The Python-codegen backend in counted mode: regions compiled to real
-    code objects, statistics byte-identical to the reference
-    interpreter (checksum-enforced here).
-``pycodegen``
-    The Python-codegen backend in fast mode: no cycle accounting, so it
-    participates only in the *results* checksum (program outputs must
-    still match the reference run exactly).
+    The Python-codegen backend: regions compiled to real code objects,
+    statistics byte-identical to the reference interpreter
+    (checksum-enforced here).
 
 Note this benchmarks the *interpreter itself* (host-Python seconds spent
 simulating the abstract machine), not the simulated cycle counts the
-tables report — those are identical across counted columns by
-construction.
+tables report — those are identical across columns by construction.
 
 :func:`compare_reports` diffs a committed report against a fresh run:
 statistics/results checksums must agree (they are machine-independent);
@@ -55,29 +50,26 @@ from repro.workloads import ALL_WORKLOADS
 
 DEFAULT_BENCH_PATH = "BENCH_interp.json"
 
-#: Benchmark columns, in report order: (column name, backend, mode).
-BENCH_COLUMNS: tuple[tuple[str, str, str], ...] = (
-    ("reference", "reference", "counted"),
-    ("threaded", "threaded", "counted"),
-    ("pycodegen_counted", "pycodegen", "counted"),
-    ("pycodegen", "pycodegen", "fast"),
+#: Benchmark columns, in report order: (column name, backend).  Every
+#: column's execution statistics must be byte-identical.
+BENCH_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("reference", "reference"),
+    ("threaded", "threaded"),
+    ("pycodegen_counted", "pycodegen"),
 )
 
-#: Columns whose execution statistics must be byte-identical.
-COUNTED_COLUMNS = ("reference", "threaded", "pycodegen_counted")
-
 #: Columns with a speedup factor over the reference interpreter.
-SPEEDUP_COLUMNS = ("threaded", "pycodegen_counted", "pycodegen")
+SPEEDUP_COLUMNS = ("threaded", "pycodegen_counted")
 
 
-def _execute(workload, static_module, compiled, backend: str, mode: str):
+def _execute(workload, static_module, compiled, backend: str):
     """One timed static + dynamic execution.
 
     Returns ``(seconds, stats_fingerprint, results_fingerprint,
-    cycles)``; the stats fingerprint is only meaningful in counted mode.
+    cycles)``.
     """
     tracked = frozenset(workload.region_functions)
-    kwargs = _machine_kwargs(workload, ALPHA_21164, backend, mode)
+    kwargs = _machine_kwargs(workload, ALPHA_21164, backend)
 
     static_memory = Memory()
     static_input = workload.setup(static_memory)
@@ -132,12 +124,12 @@ def run_bench(workloads=ALL_WORKLOADS,
               config: OptConfig = ALL_ON,
               repeat: int = 3) -> dict:
     """Benchmark every column over ``workloads``; return the report."""
-    columns = [name for name, _, _ in BENCH_COLUMNS]
+    columns = [name for name, _ in BENCH_COLUMNS]
     per_workload: dict[str, dict] = {}
     totals = {name: 0.0 for name in columns}
-    stats_hashers = {name: hashlib.sha256() for name in COUNTED_COLUMNS}
+    stats_hashers = {name: hashlib.sha256() for name in columns}
     results_hashers = {name: hashlib.sha256() for name in columns}
-    total_cycles = {name: 0.0 for name in COUNTED_COLUMNS}
+    total_cycles = {name: 0.0 for name in columns}
     speedups: dict[str, list[float]] = {c: [] for c in SPEEDUP_COLUMNS}
 
     for workload in workloads:
@@ -145,17 +137,15 @@ def run_bench(workloads=ALL_WORKLOADS,
         static_module = compile_static(module)
         compiled = compile_annotated(module, config)
         entry: dict[str, float] = {}
-        for name, backend, mode in BENCH_COLUMNS:
+        for name, backend in BENCH_COLUMNS:
             best = stats_fp = results_fp = cycles = None
             for _ in range(max(1, repeat)):
                 seconds, stats_fp, results_fp, cycles = _execute(
-                    workload, static_module, compiled, backend, mode
+                    workload, static_module, compiled, backend
                 )
                 best = seconds if best is None else min(best, seconds)
-            if name in stats_hashers:
-                stats_hashers[name].update(
-                    repr(stats_fp).encode("utf-8"))
-                total_cycles[name] += cycles
+            stats_hashers[name].update(repr(stats_fp).encode("utf-8"))
+            total_cycles[name] += cycles
             results_hashers[name].update(repr(results_fp).encode("utf-8"))
             totals[name] += best
             entry[f"{name}_seconds"] = round(best, 6)
@@ -166,20 +156,18 @@ def run_bench(workloads=ALL_WORKLOADS,
             speedups[name].append(speedup)
         per_workload[workload.name] = entry
 
-    stats_checksums = {c: stats_hashers[c].hexdigest()
-                       for c in COUNTED_COLUMNS}
+    stats_checksums = {c: stats_hashers[c].hexdigest() for c in columns}
     results_checksums = {c: results_hashers[c].hexdigest()
                          for c in columns}
-    backends: dict[str, dict] = {}
-    for name in columns:
-        info: dict[str, object] = {
+    backends = {
+        name: {
             "seconds": round(totals[name], 6),
             "results_checksum": results_checksums[name],
+            "cycles": total_cycles[name],
+            "stats_checksum": stats_checksums[name],
         }
-        if name in COUNTED_COLUMNS:
-            info["cycles"] = total_cycles[name]
-            info["stats_checksum"] = stats_checksums[name]
-        backends[name] = info
+        for name in columns
+    }
 
     report = {
         "schema": 2,
@@ -217,8 +205,8 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
 
     Returns ``(lines, ok)``.  ``ok`` goes False only on *semantic*
     divergence — schema mismatch, differing workload sets, internal
-    checksum failures in the fresh run, or counted-stats / results
-    checksums that disagree between the two reports (statistics are
+    checksum failures in the fresh run, or stats / results checksums
+    that disagree between the two reports (statistics are
     machine-independent, so any drift means the simulation changed).
     Wall-clock and speedup drift is listed but never fails.
     """
@@ -233,7 +221,7 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
         return lines, False
 
     if not fresh.get("checksums_match", False):
-        lines.append("fresh run: counted-stats checksums diverge "
+        lines.append("fresh run: stats checksums diverge "
                      "across backends")
         ok = False
     if not fresh.get("results_match", False):
@@ -253,7 +241,7 @@ def compare_reports(committed: dict, fresh: dict) -> tuple[list[str], bool]:
                          + ", ".join(only_fresh))
         ok = False
 
-    for column in COUNTED_COLUMNS:
+    for column, _ in BENCH_COLUMNS:
         old = committed.get("backends", {}).get(column, {})
         new = fresh.get("backends", {}).get(column, {})
         for key in ("stats_checksum", "results_checksum"):

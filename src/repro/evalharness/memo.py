@@ -6,9 +6,7 @@ the optimization configuration, and the cost/overhead models — the
 execution *backend* explicitly is not part of the key, because every
 backend produces byte-identical statistics (enforced by
 ``tests/test_threaded_backend.py`` and
-``tests/test_pycodegen_backend.py``; the runner bypasses the memoizer
-entirely for pycodegen in fast mode, whose statistics are not counted).
-The memoizer therefore keys cached
+``tests/test_pycodegen_backend.py``).  The memoizer therefore keys cached
 results on a SHA-256 of exactly those inputs, so re-running tables (or the
 full ``all`` sweep) only recomputes runs whose inputs actually changed.
 
@@ -30,6 +28,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import weakref
 
 from repro.config import OptConfig
 from repro.errors import SpecializationBudgetError, SpecializationError
@@ -43,21 +42,33 @@ from repro.workloads.base import Workload
 #: Bump when the RunResult layout or the fingerprint recipe changes;
 #: stale entries from older schemas simply never match.  Schema 8 keys
 #: the result-affecting :class:`~repro.settings.Settings` fields and
-#: nothing else from the environment.
-_SCHEMA = 8
+#: nothing else from the environment; schema 9 feeds the inputs as a
+#: SHA-256 digest and drops the codegen mode.
+_SCHEMA = 9
+
+#: Workload -> SHA-256 of its input fingerprint.  Weak keys: an entry
+#: lives as long as its workload, and equal workloads (same ``setup``)
+#: share it.
+_INPUT_DIGESTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _fingerprint_inputs(workload: Workload) -> str:
-    """Deterministic description of the workload's prepared inputs.
+    """SHA-256 of a deterministic description of the prepared inputs.
 
     Runs the workload's ``setup`` on a fresh memory and captures both the
     entry arguments and the full memory image.  ``repr`` round-trips ints
-    and floats exactly, so this is a byte-level fingerprint.
+    and floats exactly, so this is a byte-level fingerprint.  ``setup``
+    runs once per workload per process; later calls reuse the digest.
     """
-    memory = Memory()
-    inp = workload.setup(memory)
-    has_checksum = inp.checksum is not None
-    return repr((tuple(inp.args), has_checksum, memory.words()))
+    digest = _INPUT_DIGESTS.get(workload)
+    if digest is None:
+        memory = Memory()
+        inp = workload.setup(memory)
+        has_checksum = inp.checksum is not None
+        text = repr((tuple(inp.args), has_checksum, memory.words()))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        _INPUT_DIGESTS[workload] = digest
+    return digest
 
 
 def memo_key(workload: Workload,

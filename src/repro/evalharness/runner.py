@@ -130,15 +130,13 @@ class RunResult:
         ]
 
 
-def _machine_kwargs(workload: Workload, cost_model: CostModel,
-                    backend: str, codegen_mode: str = "counted"):
+def _machine_kwargs(workload: Workload, cost_model: CostModel, backend: str):
     icache = None
     if workload.icache_capacity_bytes is not None:
         icache = ICacheModel(
             capacity_bytes=workload.icache_capacity_bytes
         )
-    return dict(cost_model=cost_model, icache=icache, backend=backend,
-                codegen_mode=codegen_mode)
+    return dict(cost_model=cost_model, icache=icache, backend=backend)
 
 
 def run_workload(workload: Workload,
@@ -148,31 +146,19 @@ def run_workload(workload: Workload,
                  module: Module | None = None,
                  verify: bool = True,
                  backend: str | None = None,
-                 codegen_mode: str | None = None,
                  memo=None,
                  settings: Settings | None = None) -> RunResult:
     """Execute ``workload`` statically and dynamically; return metrics.
 
-    ``backend`` and ``codegen_mode`` (else ``config.codegen_mode``)
-    override ``settings``, which is resolved from the environment when
-    not given.
+    ``backend`` overrides ``settings``, which is resolved from the
+    environment when not given.
 
     With a :class:`~repro.evalharness.memo.Memoizer` in ``memo``, the run
     (or its deterministic :class:`SpecializationError`) is served from and
     stored to the content-hash cache.  The backend is deliberately not
-    part of the cache key: all backends produce byte-identical stats —
-    except pycodegen in fast mode, which drops cycle accounting, so
-    fast-mode runs bypass the memo entirely.
+    part of the cache key: all backends produce byte-identical stats.
     """
-    settings = (settings or Settings.from_env()).override(
-        backend=backend,
-        codegen_mode=codegen_mode or config.codegen_mode or None,
-    )
-    backend, codegen_mode = settings.backend, settings.codegen_mode
-    if backend == "pycodegen" and codegen_mode == "fast":
-        # Fast-mode stats are not the shared byte-identical stats the
-        # cache is keyed for; never serve or store them.
-        memo = None
+    settings = (settings or Settings.from_env()).override(backend=backend)
     if memo is not None and module is None:
         key = memo.key_for(workload, config, cost_model, overhead, verify,
                            settings)
@@ -200,7 +186,7 @@ def run_workload(workload: Workload,
     static_input = workload.setup(static_memory)
     static_machine = Machine(
         static_module, memory=static_memory, tracked=tracked,
-        **_machine_kwargs(workload, cost_model, backend, codegen_mode),
+        **_machine_kwargs(workload, cost_model, settings.backend),
     )
     static_result = static_machine.run(workload.entry,
                                        *static_input.args)
@@ -212,7 +198,7 @@ def run_workload(workload: Workload,
     dynamic_machine, runtime = compiled.make_machine(
         memory=dynamic_memory, tracked=tracked, overhead=overhead,
         settings=settings,
-        **_machine_kwargs(workload, cost_model, backend, codegen_mode),
+        **_machine_kwargs(workload, cost_model, settings.backend),
     )
     persist_store = persist.active_store()
     if persist_store is None and settings.persist_dir:

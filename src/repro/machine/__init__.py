@@ -12,7 +12,7 @@ from repro.machine.costs import CostModel, ALPHA_21164
 from repro.machine.icache import ICacheModel
 from repro.machine.intrinsics import INTRINSICS, Intrinsic
 from repro.machine.interp import BACKENDS, Machine, ExecutionStats
-from repro.machine.pycodegen import CODEGEN_MODES, PyCodegenBackend
+from repro.machine.pycodegen import PyCodegenBackend
 from repro.machine.threaded import ThreadedBackend
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "INTRINSICS",
     "Intrinsic",
     "BACKENDS",
-    "CODEGEN_MODES",
     "Machine",
     "ExecutionStats",
     "PyCodegenBackend",

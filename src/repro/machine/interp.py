@@ -119,8 +119,8 @@ class ExecutionStats:
     degraded_translations: int = 0
     #: Codegen-backend compilations that fell back down the backend
     #: ladder (injected ``pycodegen.compile`` faults, oversize sources).
-    #: Zero on a clean run; the fallback is cycle-identical in counted
-    #: mode by construction.
+    #: Zero on a clean run; the fallback is cycle-identical by
+    #: construction.
     degraded_compilations: int = 0
 
     def snapshot(self) -> "ExecutionStats":
@@ -157,11 +157,7 @@ class Machine:
         ``"reference"`` (per-instruction interpreter), ``"threaded"``
         (direct-threaded closure translation; same stats, much faster),
         or ``"pycodegen"`` (functions compiled to Python code objects;
-        same stats in counted mode, faster still).
-    codegen_mode:
-        Only meaningful with ``backend="pycodegen"``: ``"counted"``
-        (stats byte-identical to the reference interpreter) or
-        ``"fast"`` (no cycle accounting, pure wall-clock speed).
+        same stats, faster still).
     """
 
     def __init__(
@@ -174,7 +170,6 @@ class Machine:
         tracked: frozenset[str] | set[str] = frozenset(),
         step_limit: int = 500_000_000,
         backend: str = "reference",
-        codegen_mode: str = "counted",
     ) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
@@ -199,7 +194,6 @@ class Machine:
                 f"unknown backend {backend!r} (expected one of {BACKENDS})"
             )
         self.backend = backend
-        self.codegen_mode = codegen_mode
         if backend == "threaded":
             # Imported here so the reference interpreter has no load-time
             # dependency on its replacement.
@@ -209,7 +203,7 @@ class Machine:
         elif backend == "pycodegen":
             from repro.machine.pycodegen import PyCodegenBackend
 
-            self._backend = PyCodegenBackend(self, mode=codegen_mode)
+            self._backend = PyCodegenBackend(self)
         else:
             self._backend = None
         _ensure_recursion_headroom()

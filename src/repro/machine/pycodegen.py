@@ -24,13 +24,11 @@ Lowering rules (see ``DESIGN.md`` §9)
   label* (promotion continuations and region-exit resumes re-enter the
   dispatch loop with an arbitrary label id).  Single-block loops become
   native ``while True:`` statements.
-* Two modes: ``counted`` inlines the exact commit sequence of
-  :meth:`repro.machine.interp.Machine._commit` with the cost terms of
-  :mod:`repro.machine.costs` folded to literals, producing
+* Accounting is counted: generated code inlines the exact commit
+  sequence of :meth:`repro.machine.interp.Machine._commit` with the cost
+  terms of :mod:`repro.machine.costs` folded to literals, producing
   ``ExecutionStats`` byte-identical to the reference interpreter (the
-  bench checksums enforce this); ``fast`` drops all cycle/step
-  accounting and keeps only the semantics — pure wall-clock speed, with
-  a dispatch counter standing in for the step limit.
+  bench checksums enforce this).
 
 Patch visibility and fallback
 -----------------------------
@@ -93,9 +91,6 @@ from repro.opt.regionshape import region_shape
 from repro.runtime import persist
 from repro.runtime.cache import CodeCache, entry_checksum
 
-#: Codegen modes accepted by ``--codegen-mode`` / ``OptConfig``.
-CODEGEN_MODES = ("counted", "fast")
-
 #: Refuse to compile generated sources larger than this many characters
 #: (runaway unrolling at the codegen tier); the refusal degrades down
 #: the backend ladder instead of failing the run.
@@ -125,7 +120,7 @@ EAGER_FOOTPRINT = 128
 
 #: Process-wide code-object cache, keyed by generated source text.  The
 #: source embeds everything that affects the compiled code (costs are
-#: folded to literals, so penalty/scale/mode/version/step-limit are all
+#: folded to literals, so penalty/scale/version/step-limit are all
 #: part of the text); per-machine state (stats, env, runtime) binds at
 #: ``exec`` time, which is microseconds.  Sharing code objects across
 #: machines lets a second run of the same program — the harness builds
@@ -141,8 +136,8 @@ class CompileFault(MachineError):
     Raised by fault injection (the ``pycodegen.compile`` point), by the
     source-size budget, or by a genuine compile failure; the drivers
     catch it and degrade down the backend ladder
-    (pycodegen -> threaded -> reference), which is stats-identical in
-    counted mode except for ``degraded_compilations``.
+    (pycodegen -> threaded -> reference), which is stats-identical
+    except for ``degraded_compilations``.
     """
 
 
@@ -205,18 +200,16 @@ def _lit(value) -> str:
 
 
 class _Emitter:
-    """Lowers one function to Python source for one (mode, penalty,
-    scale, region) configuration."""
+    """Lowers one function to Python source for one (penalty, scale,
+    region) configuration."""
 
     def __init__(self, machine, fn: Function, penalty: float,
-                 scale: float, region: bool, mode: str) -> None:
+                 scale: float, region: bool) -> None:
         self.costs = machine.costs
         self.fn = fn
         self.penalty = penalty
         self.scale = scale
         self.region = region
-        self.mode = mode
-        self.counted = mode == "counted"
         self.version = fn.version
         self.step_limit = machine.step_limit
         self.shape = region_shape(fn)
@@ -246,14 +239,10 @@ class _Emitter:
     def build(self) -> str:
         self.emit(0, "def _run(E, L, ST=ST, MA=MA, C=C, K=K, LBLS=LBLS, "
                      "CALL=CALL, LOAD=LOAD, STORE=STORE):")
-        if not self.counted:
-            self.emit(1, "D = 0")
         self.emit(1, "while True:")
         if self.region:
             self.emit(2, f"if C.version != {self.version}: "
                          "return ('stale', LBLS[L])")
-        if not self.counted:
-            self._emit_fast_guard(2)
         chains = []
         cursor = 0
         for chain in self.shape.chains:
@@ -284,13 +273,6 @@ class _Emitter:
         self._emit_dispatch(chains[:mid], ind + 1)
         self._emit_dispatch(chains[mid:], ind)
 
-    def _emit_fast_guard(self, ind: int) -> None:
-        """Fast mode has no step accounting; a dispatch counter stands in
-        for the step limit (any loop passes a dispatch point)."""
-        self.emit(ind, "D += 1")
-        self.emit(ind, f"if D > {self.step_limit}: "
-                       f"raise MachineError({self._limit_msg!r})")
-
     # -- blocks ---------------------------------------------------------
 
     def _emit_block(self, label: str, bid: int, ind: int,
@@ -312,7 +294,7 @@ class _Emitter:
         self.seg_const = 0.0
         self.seg_count = 0
         self.block_extra = self._block_may_extra(block)
-        if self.counted and self.block_extra:
+        if self.block_extra:
             self.emit(b, "X = 0.0")
 
     def _emit_body(self, label: str, b: int,
@@ -337,8 +319,6 @@ class _Emitter:
         term = block.instrs[-1]
         self.emit(b, "while True:")
         w = b + 1
-        if not self.counted:
-            self._emit_fast_guard(w)
         self._begin_block(block, w)
         for instr in block.instrs[:-1]:
             if self._emit_instr(instr, w, None):
@@ -365,8 +345,6 @@ class _Emitter:
         """Could any instruction in this block add a float-operand extra?
         (Over-approximate; only gates emission of the ``X`` accumulator.)
         """
-        if not self.counted:
-            return False
         for instr in block.instrs:
             cls = type(instr)
             if cls is BinOp or cls is UnOp:
@@ -399,11 +377,11 @@ class _Emitter:
 
     def _emit_commit(self, b: int) -> None:
         """Inline the exact :meth:`Machine._commit` sequence for the
-        accumulated segment (counted mode); reset the segment."""
+        accumulated segment; reset the segment."""
         const, count = self.seg_const, self.seg_count
         self.seg_const = 0.0
         self.seg_count = 0
-        if not self.counted or count == 0:
+        if count == 0:
             return
         # The reference commits ``acc + extra``; with no possible extras
         # the addition of 0.0 is a bitwise identity and is elided.
@@ -514,29 +492,26 @@ class _Emitter:
             self.emit(b, f"_a = E[{lhs.name!r}]")
             self.emit(b, f"_b = E[{rhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a='_a', b='_b')}")
-            if self.counted:
-                self.emit(b, "if type(_a) is float or type(_b) is "
-                             f"float: X += {fp_extra!r}")
+            self.emit(b, "if type(_a) is float or type(_b) is "
+                         f"float: X += {fp_extra!r}")
             return
         if lk is Reg:
             value = rhs.value
             self.emit(b, f"_a = E[{lhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a='_a', b=_lit(value))}")
-            if self.counted:
-                if type(value) is float:
-                    self.emit(b, f"X += {fp_extra!r}")
-                else:
-                    self.emit(b, f"if type(_a) is float: X += {fp_extra!r}")
+            if type(value) is float:
+                self.emit(b, f"X += {fp_extra!r}")
+            else:
+                self.emit(b, f"if type(_a) is float: X += {fp_extra!r}")
             return
         if rk is Reg:
             value = lhs.value
             self.emit(b, f"_b = E[{rhs.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a=_lit(value), b='_b')}")
-            if self.counted:
-                if type(value) is float:
-                    self.emit(b, f"X += {fp_extra!r}")
-                else:
-                    self.emit(b, f"if type(_b) is float: X += {fp_extra!r}")
+            if type(value) is float:
+                self.emit(b, f"X += {fp_extra!r}")
+            else:
+                self.emit(b, f"if type(_b) is float: X += {fp_extra!r}")
             return
         # Both immediate: fold at translation time unless evaluation
         # traps (a division by zero must trap at execution time).
@@ -548,7 +523,7 @@ class _Emitter:
             self.emit(b, f"{dest} = {tmpl.format(a=_lit(a), b=_lit(v))}")
         else:
             self.emit(b, f"{dest} = {_lit(result)}")
-        if self.counted and is_fp:
+        if is_fp:
             self.emit(b, f"X += {fp_extra!r}")
 
     def _emit_unop(self, instr: UnOp, b: int) -> None:
@@ -567,14 +542,13 @@ class _Emitter:
             tmpl = _INLINE_UNOPS[instr.op]
             self.emit(b, f"_a = E[{src.name!r}]")
             self.emit(b, f"{dest} = {tmpl.format(a='_a')}")
-            if self.counted:
-                self.emit(b, f"if type(_a) is float: X += {fp_extra!r}")
+            self.emit(b, f"if type(_a) is float: X += {fp_extra!r}")
             return
         if type(src) is not Imm:
             self._bad_operand(src, b)
             return
         self.emit(b, f"{dest} = {_lit(fn(src.value))}")
-        if self.counted and type(src.value) is float:
+        if type(src.value) is float:
             self.emit(b, f"X += {fp_extra!r}")
 
     def _emit_move(self, instr: Move, b: int) -> None:
@@ -597,8 +571,7 @@ class _Emitter:
         self.seg_count += 1
         self.emit(b, f"_v = E[{src.name!r}]")
         self.emit(b, f"{dest} = _v")
-        if self.counted:
-            self.emit(b, f"if type(_v) is float: X += {fp_extra!r}")
+        self.emit(b, f"if type(_v) is float: X += {fp_extra!r}")
 
     def _emit_load(self, instr: Load, b: int) -> None:
         self.seg_const += flat_term(self.costs.load, self.scale,
@@ -636,7 +609,7 @@ class _Emitter:
         # evaluating the arguments.
         self.seg_count += 1
         self._emit_commit(b)
-        if self.counted and self.block_extra:
+        if self.block_extra:
             self.emit(b, "X = 0.0")
         arg_exprs = []
         for index, arg in enumerate(instr.args):
@@ -723,17 +696,16 @@ class _Emitter:
 
 class _PyTranslation:
     __slots__ = ("function", "version", "penalty", "scale", "region",
-                 "mode", "run", "ids", "labels", "source")
+                 "run", "ids", "labels", "source")
 
     def __init__(self, function: Function, penalty: float, scale: float,
-                 region: bool, mode: str, run, ids: dict,
+                 region: bool, run, ids: dict,
                  labels: tuple, source: str) -> None:
         self.function = function
         self.version = function.version
         self.penalty = penalty
         self.scale = scale
         self.region = region
-        self.mode = mode
         self.run = run
         self.ids = ids
         self.labels = labels
@@ -746,23 +718,16 @@ class _PyTranslation:
         *new* translation under a new version key), so the full identity
         tuple is stable for the entry's lifetime.
         """
-        return (self.function.name, self.version, self.mode,
-                int(self.region), self.penalty, self.scale,
+        return (self.function.name, self.version, int(self.region), self.penalty, self.scale,
                 len(self.source))
 
 
 class PyCodegenBackend:
     """Per-machine Python-source translator + drivers."""
 
-    def __init__(self, machine, mode: str = "counted",
+    def __init__(self, machine,
                  cache_capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
-        if mode not in CODEGEN_MODES:
-            raise MachineError(
-                f"unknown codegen mode {mode!r} "
-                f"(expected one of {CODEGEN_MODES})"
-            )
         self.machine = machine
-        self.mode = mode
         self.source_limit = SOURCE_LIMIT
         self.compile_threshold = COMPILE_THRESHOLD
         #: Region-code heat for tiered compilation: id(code) ->
@@ -793,8 +758,7 @@ class PyCodegenBackend:
                 and entry.scale == scale
                 and entry.region == region):
             return entry
-        key = (id(fn), fn.version, penalty, scale, int(region),
-               self.mode)
+        key = (id(fn), fn.version, penalty, scale, int(region))
         found = self._store.lookup(key)
         if found.hit and found.value.function is fn:
             self._latest[id(fn)] = found.value
@@ -821,15 +785,14 @@ class PyCodegenBackend:
                         scale: float, region: bool) -> str:
         """Content key of one emission: everything the source embeds.
 
-        Cost literals, penalty/scale, the step limit and the codegen
-        mode all shape the emitted text, so they are all part of the
-        key; the function text itself covers name/version/blocks (and
+        Cost literals, penalty/scale and the step limit all shape the
+        emitted text, so they are all part of the key; the function text itself covers name/version/blocks (and
         hence the trace layout derived from them).
         """
         return persist.digest(
             "pycodegen", persist.PERSIST_SCHEMA,
             persist.function_text(fn), penalty, scale, int(region),
-            self.mode, self.machine.step_limit,
+            self.machine.step_limit,
             repr(self.machine.costs),
         )
 
@@ -871,7 +834,7 @@ class PyCodegenBackend:
         exec(code, namespace)
         self.compiled_functions += 1
         return _PyTranslation(
-            fn, penalty, scale, region, self.mode,
+            fn, penalty, scale, region,
             namespace["_run"], ids, labels, source,
         )
 
@@ -933,8 +896,7 @@ class PyCodegenBackend:
                 if entry is not None:
                     return entry
         began = time.perf_counter()
-        emitter = _Emitter(machine, fn, penalty, scale, region,
-                           self.mode)
+        emitter = _Emitter(machine, fn, penalty, scale, region)
         source = emitter.build()
         if len(source) > self.source_limit:
             self.oversize_refusals += 1

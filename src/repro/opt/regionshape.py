@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Jump, Reg
 
-#: Rough emitted-source size per lowered IR instruction (counted mode:
-#: semantics plus inlined cycle/step accounting).  Used by the DYC210
+#: Rough emitted-source size per lowered IR instruction (semantics
+#: plus inlined cycle/step accounting).  Used by the DYC210
 #: size-budget estimate; deliberately on the generous side so the lint
 #: flags runaway regions before the backend refuses to compile them.
 EST_CHARS_PER_INSTR = 110
@@ -132,6 +132,6 @@ def region_shape(fn: Function) -> RegionShape:
 def estimate_emitted_chars(instruction_count: int,
                            block_count: int = 0) -> int:
     """Rough size in characters of the Python source the codegen backend
-    would emit for a function of this shape (counted mode)."""
+    would emit for a function of this shape."""
     return (instruction_count * EST_CHARS_PER_INSTR
             + block_count * EST_CHARS_PER_BLOCK)

@@ -45,8 +45,8 @@ from __future__ import annotations
 #: :class:`~repro.machine.threaded.TranslationFault` (injected
 #: ``threaded.translate`` faults).  Mid-region failures skip straight
 #: to the reference interpreter, the only rung resumable at an
-#: arbitrary label from outside.  Every rung is cycle-identical in
-#: counted mode, so degradation is invisible in the stats except for
+#: arbitrary label from outside.  Every rung is cycle-identical, so
+#: degradation is invisible in the stats except for
 #: the ``degraded_compilations`` / ``degraded_translations`` counters.
 BACKEND_LADDER = ("pycodegen", "threaded", "reference")
 

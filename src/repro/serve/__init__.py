@@ -4,7 +4,7 @@
 runs over HTTP with a sharded multi-tenant result cache, per-tenant
 admission control, per-(tenant, workload) circuit breakers, and the
 degradation ladder wired into the request path; every run executes on
-the counted ``pycodegen`` backend.  ``python -m repro.serve.supervisor``
+the ``pycodegen`` backend.  ``python -m repro.serve.supervisor``
 runs N such workers behind one shared socket with crash/hang recovery
 (heartbeat pipes), warm recycling from the persistent store, and
 graceful SIGTERM drain.  ``python -m repro.serve.loadgen`` is the matching

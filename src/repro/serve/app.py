@@ -27,7 +27,7 @@ Request lifecycle for ``POST /run``:
 6. **Admission queue** (:mod:`repro.serve.admission`): backpressure
    503s, per-tenant quota 429s, then a semaphore sized to the worker
    pool.
-7. **Execution** — every run executes on the counted ``pycodegen``
+7. **Execution** — every run executes on the ``pycodegen``
    backend (whose ``pycodegen → threaded → reference`` degradation
    ladder covers compile failures), on a thread pool via
    ``run_in_executor``.  Runs are thread-safe because every
@@ -77,7 +77,7 @@ DEFAULT_CAPACITY_PER_SHARD = 256
 DEFAULT_MAX_QUEUE = 1024
 DEFAULT_TENANT_QUOTA = 128
 
-#: Every served run executes on this backend.  All counted backends give
+#: Every served run executes on this backend.  All backends give
 #: byte-identical stats, so the choice only sets speed; pycodegen's own
 #: ladder degrades to threaded and then reference on compile failures.
 BACKEND = "pycodegen"

@@ -14,7 +14,7 @@ Error taxonomy
 status      meaning
 ==========  ==========================================================
 400         malformed request (bad JSON, unknown workload/config
-            field, invalid fault spec)
+            field, negative integer field, invalid fault spec)
 404 / 405   unknown path / method on a known path
 413         request body exceeds :data:`MAX_BODY_BYTES`
 422         the run itself failed deterministically
@@ -152,8 +152,11 @@ def build_config(overrides: object) -> OptConfig:
             if not isinstance(value, bool):
                 raise BadRequest(f"config field {name!r} must be a boolean")
         elif spec.type == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadRequest(f"config field {name!r} must be an integer")
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 0:
+                raise BadRequest(
+                    f"config field {name!r} must be a non-negative integer"
+                )
         elif spec.type == "str":
             if not isinstance(value, str):
                 raise BadRequest(f"config field {name!r} must be a string")
@@ -177,8 +180,7 @@ def build_config(overrides: object) -> OptConfig:
 def run_fingerprint(result) -> str:
     """SHA-256 over everything a run *measures*.
 
-    Backends are excluded by construction: every counted backend
-    produces byte-identical statistics, so a client can re-run the same
+    Backends are excluded by construction: every backend produces byte-identical statistics, so a client can re-run the same
     (workload, config) offline on any backend and compare fingerprints
     to prove the daemon served an untampered result.
     """

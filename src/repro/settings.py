@@ -83,14 +83,10 @@ def _knob(env: str, default, parse, *, result_affecting: bool = False):
 class Settings:
     """Every ``REPRO_*`` knob, parsed and validated."""
 
-    #: Execution backend of harness runs.  Every counted backend gives
+    #: Execution backend of harness runs.  Every backend gives
     #: byte-identical stats, so it only sets speed.
     backend: str = _knob("REPRO_BACKEND", "threaded",
                          _choice("reference", "threaded", "pycodegen"))
-    #: pycodegen mode; ``fast`` drops cycle accounting.
-    codegen_mode: str = _knob("REPRO_CODEGEN_MODE", "counted",
-                              _choice("counted", "fast"),
-                              result_affecting=True)
     #: Fault-injection spec, combined with ``OptConfig.faults``.
     faults: str = _knob("REPRO_FAULTS", "", _fault_spec,
                         result_affecting=True)

@@ -4,11 +4,8 @@ Runs the named workloads (default: all) statically and dynamically,
 verifies their outputs agree, and prints a per-region report: speedup,
 break-even, generated-code size, and which staged optimizations fired.
 Add ``--dump`` to also print the specialized region code,
-``--backend=reference|threaded|pycodegen`` to pick the execution backend
-(the reported numbers are identical either way), and
-``--codegen-mode=counted|fast`` to pick the pycodegen mode (fast drops
-cycle accounting, so only use it when you care about wall-clock, not the
-reported numbers).
+and ``--backend=reference|threaded|pycodegen`` to pick the execution
+backend (the reported numbers are identical either way).
 
 ``python -m repro.workloads bench`` runs the wall-clock backend
 benchmark (same report as ``python -m repro.evalharness bench``); with
@@ -40,10 +37,6 @@ def report(name: str, dump: bool, settings: Settings) -> None:
           f"{workload.description} ===")
     print(f"static vars: {workload.static_vars} = "
           f"{workload.static_values}")
-    if settings.backend == "pycodegen" and settings.codegen_mode == "fast":
-        print("NOTE: fast codegen mode drops cycle accounting; the "
-              "cycle-derived figures below are not meaningful "
-              "(outputs are still verified)")
     print(f"whole-program speedup (incl. DC overhead): "
           f"{result.whole_program_speedup:.2f}x; region share of "
           f"static execution: {result.region_fraction_of_static:.0%}")
@@ -181,15 +174,12 @@ def main(argv: list[str]) -> int:
     dump = "--dump" in argv
     compare = "--compare" in argv
     backend = None
-    codegen_mode = None
     output = None
     persist_dir = None
     repeat = 3
     for arg in argv:
         if arg.startswith("--backend="):
             backend = arg.split("=", 1)[1]
-        elif arg.startswith("--codegen-mode="):
-            codegen_mode = arg.split("=", 1)[1]
         elif arg.startswith("--output="):
             output = arg.split("=", 1)[1]
         elif arg.startswith("--persist-dir="):
@@ -201,7 +191,6 @@ def main(argv: list[str]) -> int:
             return 2
     try:
         settings = Settings.from_env(backend=backend,
-                                     codegen_mode=codegen_mode,
                                      persist_dir=persist_dir)
     except SettingsError as err:
         print(f"bad setting: {err}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""The BENCH_interp.json schema-2 report: four-column layout, counted
-stats checksums, geomean summary, and the --compare diff used by CI to
+"""The BENCH_interp.json schema-2 report: one column per backend, stats
+and results checksums, geomean summary, and the --compare diff used by CI to
 assert the committed report still describes this tree."""
 
 import copy
@@ -9,7 +9,6 @@ import pytest
 
 from repro.evalharness.bench import (
     BENCH_COLUMNS,
-    COUNTED_COLUMNS,
     SPEEDUP_COLUMNS,
     compare_reports,
     load_bench,
@@ -29,31 +28,22 @@ def report():
 class TestSchema:
     def test_layout(self, report):
         assert report["schema"] == 2
-        assert report["columns"] == [n for n, _, _ in BENCH_COLUMNS]
+        assert report["columns"] == [n for n, _ in BENCH_COLUMNS]
         assert set(report["workloads"]) == {"dotproduct", "dinero"}
         for entry in report["workloads"].values():
-            for name, _, _ in BENCH_COLUMNS:
+            for name, _ in BENCH_COLUMNS:
                 assert entry[f"{name}_seconds"] > 0
             for name in SPEEDUP_COLUMNS:
                 assert entry[f"{name}_speedup"] > 0
 
     def test_counted_columns_checksum_identical(self, report):
-        checksums = {
-            report["backends"][c]["stats_checksum"]
-            for c in COUNTED_COLUMNS
-        }
-        assert len(checksums) == 1
+        for key in ("stats_checksum", "results_checksum"):
+            checksums = {
+                report["backends"][c][key] for c in report["columns"]
+            }
+            assert len(checksums) == 1
         assert report["checksums_match"]
-
-    def test_fast_column_results_match(self, report):
-        results = {
-            report["backends"][c]["results_checksum"]
-            for c in report["columns"]
-        }
-        assert len(results) == 1
         assert report["results_match"]
-        # The fast column carries no counted statistics.
-        assert "stats_checksum" not in report["backends"]["pycodegen"]
 
     def test_geomean_summary(self, report):
         assert set(report["geomean"]) == set(SPEEDUP_COLUMNS)

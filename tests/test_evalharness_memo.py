@@ -54,6 +54,36 @@ class TestMemoizer:
         assert base != memo_key(BINARY, ALL_ON, ALPHA_21164,
                                 DEFAULT_OVERHEAD)
 
+    def test_inputs_fingerprinted_once_per_workload(self, monkeypatch):
+        """``memo_key`` runs ``setup`` once per workload and process,
+        not once per call (the serve loop keys every request)."""
+        calls = []
+
+        def counting_setup(memory):
+            calls.append(1)
+            return DOT.setup(memory)
+
+        workload = dataclasses.replace(DOT, setup=counting_setup)
+        keys = {memo_key(workload, ALL_ON, ALPHA_21164, DEFAULT_OVERHEAD)
+                for _ in range(5)}
+        assert len(keys) == 1 and len(calls) == 1
+        settings = Settings(faults="specializer.entry:once")
+        memo_key(workload, ALL_ON.without("static_loads"), ALPHA_21164,
+                 DEFAULT_OVERHEAD, settings=settings)
+        assert len(calls) == 1
+
+    def test_different_inputs_different_key(self):
+        """A workload whose ``setup`` builds other inputs gets its own
+        key, even with every other field equal."""
+        def other_setup(memory):
+            built = DOT.setup(memory)
+            memory.alloc_array([7])
+            return built
+
+        workload = dataclasses.replace(DOT, setup=other_setup)
+        assert memo_key(workload, ALL_ON, ALPHA_21164, DEFAULT_OVERHEAD) \
+            != memo_key(DOT, ALL_ON, ALPHA_21164, DEFAULT_OVERHEAD)
+
     def test_backend_not_in_key(self, tmp_path):
         """Both backends produce byte-identical stats, so a result
         computed under one backend must be served to the other."""

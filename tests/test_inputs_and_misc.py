@@ -101,11 +101,26 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="unknown"):
             repro.ALL_ON.without("frobnication")
 
+    @pytest.mark.parametrize("name", [
+        "faults", "degrade", "quarantine_after", "cache_capacity",
+        "check_annotations", "lint",
+    ])
+    def test_config_without_rejects_non_switches(self, name):
+        """Only Table 5's optimization switches can be turned off:
+        ``without`` would otherwise write ``False`` into a str or int
+        field."""
+        with pytest.raises(ValueError, match=name):
+            repro.ALL_ON.without("static_loads", name)
+
     def test_config_enabled_names(self):
+        from repro.config import TABLE5_ABLATIONS
         names = repro.ALL_ON.enabled_names()
-        assert "complete_loop_unrolling" in names
+        assert names == TABLE5_ABLATIONS
         assert "check_annotations" not in names
         assert repro.ALL_OFF.enabled_names() == ()
+        config = repro.ALL_ON.without("static_calls")
+        assert config.enabled_names() == tuple(
+            name for name in TABLE5_ABLATIONS if name != "static_calls")
 
 
 class TestWorkloadCli:

@@ -30,10 +30,17 @@ from repro.workloads import WORKLOADS_BY_NAME
 #: Every knob, each tagged ``result_affecting`` or not.
 _KNOBS = dataclasses.fields(Settings)
 
-#: Knobs deleted from the package; a leftover export must be inert.
-_RETIRED = ("REPRO_BREAKER_COOLDOWN", "REPRO_DRAIN_TIMEOUT",
-            "REPRO_PYCODEGEN_SOURCE_LIMIT", "REPRO_PYCODEGEN_THRESHOLD",
-            "REPRO_SERVE_WORKER", "REPRO_SUPERVISOR_STATE")
+#: Knobs deleted from the package, each with a value it once accepted;
+#: a leftover export must be inert.
+_RETIRED = {
+    "REPRO_BREAKER_COOLDOWN": "10",
+    "REPRO_CODEGEN_MODE": "fast",
+    "REPRO_DRAIN_TIMEOUT": "10",
+    "REPRO_PYCODEGEN_SOURCE_LIMIT": "10",
+    "REPRO_PYCODEGEN_THRESHOLD": "10",
+    "REPRO_SERVE_WORKER": "10",
+    "REPRO_SUPERVISOR_STATE": "10",
+}
 
 
 def _env_id(knob) -> str:
@@ -49,7 +56,7 @@ def _flipped(knob, tmp_path):
         return knob.default + 1.5
     if knob.type == "bool | None":
         return True
-    for candidate in (str(tmp_path / knob.name), "reference", "fast",
+    for candidate in (str(tmp_path / knob.name), "reference",
                       "specializer.entry:once"):
         try:
             value = knob.metadata["parse"](candidate)
@@ -389,7 +396,7 @@ class TestStoreApi:
         workload = WORKLOADS_BY_NAME["binary"]
         base = Settings()
         if isinstance(knob, str):
-            flipped = Settings.from_env({knob: "10"})
+            flipped = Settings.from_env({knob: _RETIRED[knob]})
             affects = False
         else:
             flipped = base.override(
@@ -401,6 +408,21 @@ class TestStoreApi:
                             DEFAULT_OVERHEAD, settings=settings)
 
         assert (key(flipped) != key(base)) == affects
+
+    def test_leftover_codegen_mode_leaves_run_unchanged(self,
+                                                         monkeypatch):
+        """``REPRO_CODEGEN_MODE`` is gone: a leftover ``fast`` neither
+        moves the memo key nor a byte of a pycodegen run."""
+        workload = WORKLOADS_BY_NAME["binary"]
+        base = run_fingerprint(run_workload(
+            workload, backend="pycodegen", settings=Settings()))
+        base_key = memo_key(workload, ALL_ON, ALPHA_21164,
+                            DEFAULT_OVERHEAD, settings=Settings())
+        monkeypatch.setenv("REPRO_CODEGEN_MODE", "fast")
+        assert memo_key(workload, ALL_ON, ALPHA_21164,
+                        DEFAULT_OVERHEAD) == base_key
+        assert run_fingerprint(run_workload(
+            workload, backend="pycodegen")) == base
 
     @pytest.mark.parametrize("knob", [
         knob for knob in _KNOBS if not knob.metadata["result_affecting"]

@@ -1,5 +1,5 @@
 """The Python-codegen backend must be indistinguishable from the
-reference interpreter in counted mode — byte-identical ExecutionStats
+reference interpreter — byte-identical ExecutionStats
 and identical results for every workload — and must walk the backend
 degradation ladder (pycodegen -> threaded -> reference) on compile
 faults without the statistics drifting."""
@@ -10,13 +10,11 @@ import pytest
 
 from repro.config import ALL_OFF, ALL_ON
 from repro.errors import TrapError
-from repro.evalharness.memo import Memoizer
 from repro.evalharness.runner import run_workload
 from repro.ir import BasicBlock, FunctionBuilder, Module, Op
 from repro.ir.instructions import Imm, Move, Return
 from repro.machine import ALPHA_21164, Machine, pycodegen
 from repro.machine.pycodegen import (
-    CODEGEN_MODES,
     EAGER_FOOTPRINT,
     CompileFault,
     PyCodegenBackend,
@@ -66,56 +64,12 @@ class TestCountedByteIdentity:
         assert reference["dynamic"]["dispatches"] > 0
 
 
-class TestFastMode:
-    @pytest.mark.parametrize("name", ["dinero", "romberg", "m88ksim"])
-    def test_results_match_counted(self, name):
-        """Fast mode drops accounting, never semantics: the verified
-        static/dynamic results must equal the counted run's."""
-        workload = WORKLOADS_BY_NAME[name]
-        counted = run_workload(workload, backend="pycodegen",
-                               codegen_mode="counted")
-        fast = run_workload(workload, backend="pycodegen",
-                            codegen_mode="fast")
-        assert fast.outputs_match
-        assert fast.return_values == counted.return_values
-
-    def test_fast_mode_bypasses_memo(self, tmp_path):
-        """Fast-mode stats must never be served from (or stored to) the
-        shared content-hash cache the counted backends key."""
-        memo = Memoizer(str(tmp_path))
-        workload = WORKLOADS_BY_NAME["dotproduct"]
-        run_workload(workload, backend="pycodegen", codegen_mode="fast",
-                     memo=memo)
-        assert list(tmp_path.iterdir()) == []
-        counted = run_workload(workload, backend="pycodegen", memo=memo)
-        assert list(tmp_path.iterdir()) != []
-        assert counted.dynamic_total_cycles > 0
-
-
 class TestResolution:
     def test_backends_accepted(self):
         for backend in ("reference", "threaded", "pycodegen"):
             assert Settings().override(backend=backend).backend == backend
         with pytest.raises(ValueError):
             Settings().override(backend="jit")
-
-    def test_codegen_mode_default_and_env(self):
-        assert Settings.from_env({}).codegen_mode == "counted"
-        env = {"REPRO_CODEGEN_MODE": "fast"}
-        assert Settings.from_env(env).codegen_mode == "fast"
-        assert Settings.from_env(env, codegen_mode="counted"
-                                 ).codegen_mode == "counted"
-        with pytest.raises(ValueError, match="REPRO_CODEGEN_MODE"):
-            Settings.from_env({"REPRO_CODEGEN_MODE": "warp"})
-        assert CODEGEN_MODES == ("counted", "fast")
-
-    def test_machine_rejects_unknown_mode(self):
-        b = FunctionBuilder("f", ())
-        b.ret(0)
-        mod = Module()
-        mod.add_function(b.finish())
-        with pytest.raises(Exception):
-            Machine(mod, backend="pycodegen", codegen_mode="warp")
 
 
 class TestTranslationCache:

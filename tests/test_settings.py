@@ -68,7 +68,7 @@ class TestParsing:
         tagged = {knob.name for knob in _KNOBS
                   if knob.metadata["result_affecting"]}
         assert {name for name, _ in Settings().result_key()} == tagged
-        assert tagged == {"codegen_mode", "faults", "degrade"}
+        assert tagged == {"faults", "degrade"}
 
 
 class TestEntryPointsFailFast:
