@@ -10,9 +10,12 @@ submitting the identical (workload, config) pair still get isolated
 entries (and isolated eviction pressure), while one tenant re-running
 the same request is a guaranteed hit.
 
-Shard choice is an FNV-1a hash of the key, independent of the
+Shard choice is a BLAKE2b hash of the key, independent of the
 in-shard probe hash, so hot tenants spread across shards instead of
-piling onto one lock.
+piling onto one lock.  Not FNV-1a: ``% shards`` keeps the low bits,
+and FNV-1a's low bits depend only on the low bits of each byte, so
+tenant names that differ in one character's high bits would share
+one shard pattern across all keys.
 
 Thread safety: shard ``CodeCache`` objects are built with ``lock=True``
 and are touched from both the event loop (lookups) and executor worker
@@ -27,15 +30,10 @@ deterministic per shard and no registry is shared across threads.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.faults import FaultRegistry
 from repro.runtime.cache import CodeCache, entry_checksum
-
-
-def _fnv(text: str) -> int:
-    h = 0xcbf29ce484222325
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 class ShardedResultCache:
@@ -61,7 +59,9 @@ class ShardedResultCache:
     # -- keying ----------------------------------------------------------
 
     def _shard_of(self, tenant: str, run_key: str) -> int:
-        return _fnv(f"{tenant}\x00{run_key}") % len(self._shards)
+        digest = hashlib.blake2b(f"{tenant}\x00{run_key}".encode("utf-8"),
+                                 digest_size=8).digest()
+        return int.from_bytes(digest, "little") % len(self._shards)
 
     # -- lookup / insert (event loop + worker threads) -------------------
 
